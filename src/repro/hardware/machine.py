@@ -167,18 +167,34 @@ class Machine:
         self.interconnect = Interconnect(
             spec.n_sockets, spec.links, spec.multi_hop_latency
         )
+        # Context -> core and context -> socket, built once: the sim
+        # engine asks for them on every event.  Pair latencies are
+        # memoized on first use rather than tabulated up front (a
+        # machine is built per inference; sparc has 256 contexts).  A
+        # pair's latency never changes, so threads racing to fill the
+        # memo store the same value.
+        self._n_contexts = spec.n_contexts
+        if spec.numbering == "smt_blocked":
+            cores = [ctx % spec.n_cores for ctx in range(spec.n_contexts)]
+        else:
+            cores = [ctx // spec.smt_per_core for ctx in range(spec.n_contexts)]
+        self._core_of = tuple(cores)
+        self._socket_of = tuple(c // spec.cores_per_socket for c in cores)
+        self._comm: dict[tuple[int, int], int] = {}
 
     # ---------------------------------------------------------------- ids
     def socket_of(self, ctx: int) -> int:
-        return self.core_of(ctx) // self.spec.cores_per_socket
+        # The range check stays in front of the table: a bare tuple
+        # index would silently wrap a negative id.
+        if not 0 <= ctx < self._n_contexts:
+            self._check_ctx(ctx)
+        return self._socket_of[ctx]
 
     def core_of(self, ctx: int) -> int:
         """Global core index of a hardware context."""
-        spec = self.spec
-        self._check_ctx(ctx)
-        if spec.numbering == "smt_blocked":
-            return ctx % spec.n_cores
-        return ctx // spec.smt_per_core
+        if not 0 <= ctx < self._n_contexts:
+            self._check_ctx(ctx)
+        return self._core_of[ctx]
 
     def smt_index_of(self, ctx: int) -> int:
         """Which SMT sibling (0-based) a context is within its core."""
@@ -228,6 +244,18 @@ class Machine:
                 f"context {ctx} out of range for {self.spec.name}"
             )
 
+    def _check_socket(self, socket: int) -> None:
+        if not 0 <= socket < self.spec.n_sockets:
+            raise MachineModelError(
+                f"socket {socket} out of range for {self.spec.name}"
+            )
+
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.spec.n_nodes:
+            raise MachineModelError(
+                f"memory node {node} out of range for {self.spec.name}"
+            )
+
     # ------------------------------------------------------- comm latency
     def comm_latency(self, a: int, b: int) -> int:
         """True cache-coherence communication latency between contexts.
@@ -236,10 +264,20 @@ class Machine:
         measures: the cost of an RFO for a line held modified by the
         other context, free of rdtsc overhead and noise.
         """
+        n = self._n_contexts
+        if not (0 <= a < n and 0 <= b < n):
+            self._check_ctx(a)
+            self._check_ctx(b)
+        lat = self._comm.get((a, b))
+        if lat is None:
+            lat = self._comm[(a, b)] = self._pair_latency(a, b)
+        return lat
+
+    def _pair_latency(self, a: int, b: int) -> int:
         spec = self.spec
         if a == b:
             return 0
-        ca, cb = self.core_of(a), self.core_of(b)
+        ca, cb = self._core_of[a], self._core_of[b]
         if ca == cb:
             return spec.smt_latency + _pair_jitter(a, b, spec.smt_jitter)
         sa, sb = ca // spec.cores_per_socket, cb // spec.cores_per_socket
@@ -260,6 +298,8 @@ class Machine:
     # ------------------------------------------------------------- memory
     def mem_latency(self, socket: int, node: int) -> int:
         """Cycles for a dependent (pointer-chase) load from ``node``."""
+        self._check_socket(socket)
+        self._check_node(node)
         mem = self.spec.memory
         override = mem.latency_overrides.get((socket, node))
         if override is not None:
@@ -272,6 +312,8 @@ class Machine:
 
     def mem_bandwidth(self, socket: int, node: int) -> float:
         """Saturated GB/s from all cores of ``socket`` to ``node``."""
+        self._check_socket(socket)
+        self._check_node(node)
         mem = self.spec.memory
         override = mem.bandwidth_overrides.get((socket, node))
         if override is not None:

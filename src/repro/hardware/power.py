@@ -32,14 +32,25 @@ class PowerModel:
     def socket_power(self, active_ctxs_on_socket: Iterable[int],
                      with_dram: bool = False) -> float:
         """Watts drawn by one socket given its active contexts."""
-        p = self.profile
         ctxs = list(active_ctxs_on_socket)
         cores = {self.machine.core_of(c) for c in ctxs}
+        return self.socket_watts(len(ctxs), len(cores), with_dram)
+
+    def socket_watts(self, n_ctxs: int, n_cores: int,
+                     with_dram: bool = False) -> float:
+        """Watts of one socket with ``n_ctxs`` active contexts spread
+        over ``n_cores`` distinct cores.
+
+        The sim engine calls this with counts it keeps incrementally;
+        the arithmetic and its order are the one definition of socket
+        power, so both paths give bit-identical watts.
+        """
+        p = self.profile
         watts = p.idle_socket
-        watts += len(cores) * p.first_context
-        watts += (len(ctxs) - len(cores)) * p.extra_context
+        watts += n_cores * p.first_context
+        watts += (n_ctxs - n_cores) * p.extra_context
         if with_dram:
-            watts += p.dram_active if ctxs else p.dram_idle
+            watts += p.dram_active if n_ctxs else p.dram_idle
         return watts
 
     def estimate(self, active_ctxs: Iterable[int], with_dram: bool = False,

@@ -16,12 +16,25 @@ the machine model:
 When the machine has a power profile the engine also integrates energy:
 package power is a function of which contexts are active, sampled at
 every scheduling event.
+
+No event rescans the threads or re-derives where a context sits: a
+thread's core and socket are read once at spawn, and the engine keeps,
+incrementally, the number of computing threads per core (SMT
+interference) and, when it tracks energy, the active threads per core
+plus the active contexts and active cores per socket (package power).
+Those counts change only where a thread's ``computing``, ``blocked`` or
+``finished`` flag does, and only this module sets the flags, so at
+every event the counts equal a recount from the threads and every
+result is bit-identical to one.  (A barrier crossing still reads
+O(parties²) pair latencies, from the machine's memo.)
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
@@ -56,6 +69,8 @@ class SimThread:
     blocked: bool = False
     computing: bool = False
     block_start: float | None = None
+    core: int = -1
+    socket: int = -1
 
     def __hash__(self) -> int:
         return self.tid
@@ -79,8 +94,30 @@ class RunStats:
     metrics: dict[str, dict] = field(default_factory=dict)
 
 
+def _instrument(kind: str, name: str) -> cached_property:
+    """An engine attribute holding one registry instrument.
+
+    The instrument is created on first use, as a direct registry call
+    would, so a run's metrics hold exactly the instruments it touched;
+    after that it reads as a plain attribute.
+    """
+    return cached_property(lambda engine: getattr(engine.obs, kind)(name))
+
+
 class Engine:
     """The event loop: a heap of (time, action) callbacks."""
+
+    _spawned = _instrument("counter", "sim.threads_spawned")
+    _smt_contended = _instrument("counter", "sim.smt_contended_computes")
+    _mem_streams = _instrument("counter", "sim.mem_streams")
+    _barrier_waits = _instrument("counter", "sim.barrier_waits")
+    _lock_acquires = _instrument("counter", "sim.lock_acquires")
+    _lock_releases = _instrument("counter", "sim.lock_releases")
+    _blocks = _instrument("counter", "sim.blocks")
+    _bw_contention = _instrument("counter", "sim.bw_contention_events")
+    _bw_sharers = _instrument("histogram", "sim.bw_sharers")
+    _energy_samples = _instrument("counter", "sim.energy_samples")
+    _power_watts = _instrument("histogram", "sim.power_watts")
 
     def __init__(self, machine: Machine, track_energy: bool = False,
                  obs: Observability | None = None):
@@ -91,6 +128,8 @@ class Engine:
         self._seq = 0
         self.threads: list[SimThread] = []
         self._channels: dict[tuple[int, int], _Channel] = {}
+        spec = machine.spec
+        self._computing = [0] * spec.n_cores  # computing threads per core
         self._energy: float | None = None
         self._power_model = None
         if track_energy:
@@ -99,14 +138,25 @@ class Engine:
             self._power_model = PowerModel(machine)
             self._energy = 0.0
             self._last_energy_time = 0.0
+            # Active (neither blocked nor finished) threads per core,
+            # and per socket the active threads ("contexts": two
+            # threads on one context count twice, as in a rescan) and
+            # the cores with at least one active thread.
+            self._active_on_core = [0] * spec.n_cores
+            self._active_ctxs = [0] * spec.n_sockets
+            self._active_cores = [0] * spec.n_sockets
+            self._watts: float | None = None  # None: counts changed
 
     # ----------------------------------------------------------- spawning
     def spawn(self, ctx: int, program: Program, name: str = "") -> SimThread:
-        self.machine._check_ctx(ctx)
+        machine = self.machine
         thread = SimThread(tid=len(self.threads), ctx=ctx, program=program,
-                           name=name or f"t{len(self.threads)}")
+                           name=name or f"t{len(self.threads)}",
+                           core=machine.core_of(ctx),
+                           socket=machine.socket_of(ctx))
         self.threads.append(thread)
-        self.obs.counter("sim.threads_spawned").inc()
+        self._count_active(thread, 1)
+        self._spawned.inc()
         self._at(self.now, lambda: self._step(thread))
         return thread
 
@@ -116,15 +166,8 @@ class Engine:
 
     # ------------------------------------------------------------ pricing
     def _computing_siblings(self, thread: SimThread) -> int:
-        core = self.machine.core_of(thread.ctx)
-        return sum(
-            1
-            for t in self.threads
-            if t is not thread
-            and not t.finished
-            and t.computing
-            and self.machine.core_of(t.ctx) == core
-        )
+        computing = self._computing[thread.core]
+        return computing - 1 if thread.computing else computing
 
     def smt_factor(self, thread: SimThread) -> float:
         """Compute-slowdown from SMT siblings currently computing."""
@@ -135,12 +178,10 @@ class Engine:
     def _node_streams(self, node: int) -> int:
         """Streams currently targeting a node, across all sockets."""
         return sum(
-            len(ch.streams)
-            for (s, n), ch in self._channels.items()
-            if n == node
+            len(ch.streams) for ch in self._channels.values() if ch.node == node
         )
 
-    def _stream_rate(self, key: tuple[int, int], sharers: int) -> float:
+    def _stream_rate(self, ch: "_Channel", sharers: int) -> float:
         """Per-stream bytes/cycle on a channel with ``sharers`` streams.
 
         Three limits apply: what a single thread can pull, the channel's
@@ -148,25 +189,21 @@ class Engine:
         node's DRAM itself — sockets streaming from the same node share
         its DRAM bandwidth, they do not add to it.
         """
-        socket, node = key
-        cap = self.machine.mem_bandwidth(socket, node)
-        single = self.machine.mem_bandwidth_single(socket, node)
-        home = self.machine.socket_of_node(node)
-        node_cap = self.machine.mem_bandwidth(home, node)
-        node_streams = max(self._node_streams(node), sharers, 1)
-        per_thread = min(single, cap / max(sharers, 1), node_cap / node_streams)
+        node_streams = max(self._node_streams(ch.node), sharers, 1)
+        per_thread = min(ch.single, ch.cap / max(sharers, 1),
+                         ch.node_cap / node_streams)
         return max(per_thread / self.machine.spec.freq_max_ghz, 1e-12)
 
-    def _advance_channel(self, key: tuple[int, int], ch: "_Channel") -> None:
+    def _advance_channel(self, ch: "_Channel") -> None:
         """Progress every active stream of a channel up to ``now``."""
         dt = self.now - ch.last_update
         if dt > 0 and ch.streams:
-            rate = self._stream_rate(key, len(ch.streams))
+            rate = self._stream_rate(ch, len(ch.streams))
             for state in ch.streams.values():
                 state[0] = max(state[0] - rate * dt, 0.0)
         ch.last_update = self.now
 
-    def _rebalance_channel(self, key: tuple[int, int], ch: "_Channel") -> None:
+    def _rebalance_channel(self, ch: "_Channel") -> None:
         """Reschedule the channel's next completion after a change.
 
         Only the *earliest* finisher gets an event (one heap push per
@@ -179,41 +216,38 @@ class Engine:
             return
         if len(ch.streams) > 1:
             # Several streams now share this channel's bandwidth.
-            self.obs.counter("sim.bw_contention_events").inc()
-            self.obs.histogram("sim.bw_sharers").observe(len(ch.streams))
-        rate = self._stream_rate(key, len(ch.streams))
+            self._bw_contention.inc()
+            self._bw_sharers.observe(len(ch.streams))
+        rate = self._stream_rate(ch, len(ch.streams))
         next_done = min(state[0] for state in ch.streams.values()) / rate
         # Never schedule below the current time's float resolution: a
         # nearly-drained stream would otherwise fire at `now` forever.
-        import math
-
         next_done = max(next_done, math.ulp(self.now))
         self._at(
             self.now + next_done,
-            lambda e=epoch: self._channel_event(key, e),
+            lambda e=epoch: self._channel_event(ch, e),
         )
 
     def _advance_node_channels(self, node: int) -> None:
-        for (s, n), ch in self._channels.items():
-            if n == node:
-                self._advance_channel((s, n), ch)
+        for ch in self._channels.values():
+            if ch.node == node:
+                self._advance_channel(ch)
 
     def _rebalance_node_channels(self, node: int) -> None:
         # A membership change on one channel shifts the DRAM share of
         # every other channel reading the same node.
-        for (s, n), ch in self._channels.items():
-            if n == node:
-                self._rebalance_channel((s, n), ch)
+        for ch in self._channels.values():
+            if ch.node == node:
+                self._rebalance_channel(ch)
 
-    def _channel_event(self, key: tuple[int, int], epoch: int) -> None:
-        ch = self._channels[key]
+    def _channel_event(self, ch: "_Channel", epoch: int) -> None:
         if epoch != ch.epoch:
             return  # stale event
-        self._advance_node_channels(key[1])
+        self._advance_node_channels(ch.node)
         # "Finished" is judged in time, not bytes: anything that would
         # drain within a micro-cycle is done (bytes-level thresholds
         # dead-lock against float resolution at large timestamps).
-        rate = self._stream_rate(key, len(ch.streams) or 1)
+        rate = self._stream_rate(ch, len(ch.streams) or 1)
         threshold = max(rate * 1e-3, 1e-6)
         finished = [
             (thread, state)
@@ -223,7 +257,7 @@ class Engine:
         for thread, state in finished:
             del ch.streams[thread]
             thread.busy_cycles += self.now - state[1]
-        self._rebalance_node_channels(key[1])
+        self._rebalance_node_channels(ch.node)
         for thread, _ in finished:
             self._step(thread)
 
@@ -270,12 +304,17 @@ class Engine:
         )
 
     def _step(self, thread: SimThread) -> None:
-        thread.blocked = False
-        thread.computing = False
+        if thread.blocked:
+            self._set_blocked(thread, False)
+        if thread.computing:
+            thread.computing = False
+            self._computing[thread.core] -= 1
         try:
             command = next(thread.program)
         except StopIteration as stop:
-            thread.finished = True
+            if not thread.finished:
+                thread.finished = True
+                self._count_active(thread, -1)
             thread.result = stop.value
             return
         self._dispatch(thread, command)
@@ -284,23 +323,24 @@ class Engine:
         if isinstance(command, Compute):
             factor = self.smt_factor(thread)
             if factor > 1.0:
-                self.obs.counter("sim.smt_contended_computes").inc()
+                self._smt_contended.inc()
             duration = command.cycles * factor
             thread.computing = True
+            self._computing[thread.core] += 1
             thread.busy_cycles += duration
             self._at(self.now + duration, lambda: self._step(thread))
         elif isinstance(command, MemStream):
-            self.obs.counter("sim.mem_streams").inc()
-            socket = self.machine.socket_of(thread.ctx)
-            key = (socket, command.node)
-            ch = self._channels.setdefault(key, _Channel())
+            self._mem_streams.inc()
+            key = (thread.socket, command.node)
+            ch = self._channels.get(key)
+            if ch is None:
+                ch = self._channels[key] = _Channel(self.machine, *key)
             self._advance_node_channels(command.node)
             ch.streams[thread] = [float(command.n_bytes), self.now]
             self._rebalance_node_channels(command.node)
         elif isinstance(command, MemChase):
-            socket = self.machine.socket_of(thread.ctx)
             duration = command.accesses * self.machine.mem_latency(
-                socket, command.node
+                thread.socket, command.node
             )
             thread.busy_cycles += duration
             self._at(self.now + duration, lambda: self._step(thread))
@@ -313,13 +353,13 @@ class Engine:
         elif isinstance(command, Sleep):
             self._at(self.now + command.cycles, lambda: self._step(thread))
         elif isinstance(command, BarrierWait):
-            self.obs.counter("sim.barrier_waits").inc()
+            self._barrier_waits.inc()
             command.barrier._arrive(self, thread)
         elif isinstance(command, Acquire):
-            self.obs.counter("sim.lock_acquires").inc()
+            self._lock_acquires.inc()
             command.lock._request(self, thread)
         elif isinstance(command, Release):
-            self.obs.counter("sim.lock_releases").inc()
+            self._lock_releases.inc()
             command.lock._release(self, thread)
         else:
             raise SimulationError(f"unknown command {command!r}")
@@ -333,36 +373,58 @@ class Engine:
             # The blocked interval ends when the thread actually resumes.
             thread.blocked_cycles += at - thread.block_start
             thread.block_start = None
-        thread.blocked = False
+        self._set_blocked(thread, False)
         self._at(at, lambda: self._step(thread))
 
     def block(self, thread: SimThread) -> None:
-        thread.blocked = True
+        self._set_blocked(thread, True)
         thread.block_start = self.now
-        self.obs.counter("sim.blocks").inc()
+        self._blocks.inc()
+
+    def _set_blocked(self, thread: SimThread, blocked: bool) -> None:
+        if thread.blocked != blocked:
+            thread.blocked = blocked
+            if not thread.finished:
+                self._count_active(thread, -1 if blocked else 1)
 
     # ------------------------------------------------------------- energy
+    def _count_active(self, thread: SimThread, delta: int) -> None:
+        """A thread became active (``delta=1``) or inactive (``-1``)."""
+        if self._power_model is None:
+            return
+        before = self._active_on_core[thread.core]
+        self._active_on_core[thread.core] = before + delta
+        if not before or not before + delta:  # the core woke or idled
+            self._active_cores[thread.socket] += delta
+        self._active_ctxs[thread.socket] += delta
+        self._watts = None
+
+    def _package_watts(self) -> float:
+        """Package power (all sockets, DRAM included) of the counts.
+
+        The same sum, in the same socket order, as summing
+        ``PowerModel.estimate(active, with_dram=True, sockets=all)``.
+        """
+        model = self._power_model
+        return sum(
+            model.socket_watts(ctxs, cores, with_dram=True)
+            for ctxs, cores in zip(self._active_ctxs, self._active_cores)
+        )
+
     def _account_energy(self, at: float) -> None:
         if self._power_model is None:
             return
         dt_cycles = at - self._last_energy_time
         if dt_cycles <= 0:
             return
-        active = [
-            t.ctx for t in self.threads if not t.finished and not t.blocked
-        ]
-        watts = sum(
-            self._power_model.estimate(
-                active,
-                with_dram=True,
-                sockets=range(self.machine.spec.n_sockets),
-            ).values()
-        )
+        watts = self._watts
+        if watts is None:
+            watts = self._watts = self._package_watts()
         seconds = dt_cycles / (self.machine.spec.freq_max_ghz * 1e9)
         self._energy += watts * seconds
         self._last_energy_time = at
-        self.obs.counter("sim.energy_samples").inc()
-        self.obs.histogram("sim.power_watts").observe(watts)
+        self._energy_samples.inc()
+        self._power_watts.observe(watts)
 
 
 class _Channel:
@@ -370,12 +432,20 @@ class _Channel:
 
     ``streams`` maps each active thread to ``[remaining_bytes,
     start_time]``; completions are rescheduled (with an epoch tag to
-    cancel stale events) whenever a stream joins or leaves.
+    cancel stale events) whenever a stream joins or leaves.  The
+    channel's three bandwidth limits (GB/s) are read from the machine
+    once, which also rejects a socket or node the machine lacks.
     """
 
-    __slots__ = ("streams", "last_update", "epoch")
+    __slots__ = ("node", "cap", "single", "node_cap", "streams",
+                 "last_update", "epoch")
 
-    def __init__(self) -> None:
+    def __init__(self, machine: Machine, socket: int, node: int) -> None:
+        self.node = node
+        self.cap = machine.mem_bandwidth(socket, node)
+        self.single = machine.mem_bandwidth_single(socket, node)
+        self.node_cap = machine.mem_bandwidth(machine.socket_of_node(node),
+                                              node)
         self.streams: dict[SimThread, list[float]] = {}
         self.last_update = 0.0
         self.epoch = 0

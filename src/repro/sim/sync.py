@@ -32,9 +32,11 @@ class Barrier:
             ctxs = [t.ctx for t in self._waiting]
             cost = 0.0
             if len(ctxs) > 1:
+                # O(parties^2) pairs, each read from the machine's memo.
+                latency = engine.machine.comm_latency
                 cost = float(
                     max(
-                        engine.machine.comm_latency(a, b)
+                        latency(a, b)
                         for i, a in enumerate(ctxs)
                         for b in ctxs[i + 1:]
                     )

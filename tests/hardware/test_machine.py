@@ -156,6 +156,27 @@ class TestSpecValidation:
         with pytest.raises(MachineModelError):
             testbox.comm_latency(0, 10_000)
 
+    @pytest.mark.parametrize("ctx", [-1, 40, 999])
+    def test_same_context_out_of_range(self, ivy, ctx):
+        # Both contexts are validated before the same-context shortcut.
+        with pytest.raises(MachineModelError):
+            ivy.comm_latency(ctx, ctx)
+
+    @pytest.mark.parametrize("ctx", [-1, 40])
+    def test_lookup_out_of_range(self, ivy, ctx):
+        # A negative id must not wrap around the context tables.
+        for lookup in (ivy.core_of, ivy.socket_of):
+            with pytest.raises(MachineModelError):
+                lookup(ctx)
+
+    @pytest.mark.parametrize("socket, node", [(0, -1), (0, 2), (0, 7),
+                                              (-1, 0), (2, 0)])
+    def test_memory_outside_machine(self, ivy, socket, node):
+        for query in (ivy.mem_latency, ivy.mem_bandwidth,
+                      ivy.mem_bandwidth_single):
+            with pytest.raises(MachineModelError):
+                query(socket, node)
+
     def test_bad_cluster_size(self):
         spec = get_spec("clusterix")
         with pytest.raises(MachineModelError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import MachineModelError, SimulationError
 from repro.hardware import get_machine
 from repro.sim import (
     Barrier,
@@ -160,6 +160,36 @@ class TestMemory:
         assert t_both == pytest.approx(t_one, rel=0.01)
 
 
+class TestMemoryOutsideMachine:
+    """Ivy has memory nodes 0 and 1: any other node is an error, not a
+    wrapped index into the hop table or a bare IndexError."""
+
+    @staticmethod
+    def _run(machine, command):
+        def prog():
+            yield command
+
+        engine = Engine(machine)
+        engine.spawn(0, prog())
+        return engine.run()
+
+    def test_chase_negative_node(self, ivy):
+        with pytest.raises(MachineModelError):
+            self._run(ivy, MemChase(node=-1, accesses=10))
+
+    def test_chase_missing_node(self, ivy):
+        with pytest.raises(MachineModelError):
+            self._run(ivy, MemChase(node=7, accesses=10))
+
+    def test_stream_missing_node(self, ivy):
+        with pytest.raises(MachineModelError):
+            self._run(ivy, MemStream(7, 1e6))
+
+    def test_stream_negative_node(self, ivy):
+        with pytest.raises(MachineModelError):
+            self._run(ivy, MemStream(-1, 1e6))
+
+
 class TestCommunicate:
     def test_pays_topology_latency(self, testbox):
         peer = testbox.contexts_of_socket(1)[0]
@@ -289,9 +319,21 @@ class TestSleepAndStats:
         stats = engine.run()
         assert stats.seconds == pytest.approx(1e-3)
 
-    def test_spawn_bad_context(self, engine):
-        from repro.errors import MachineModelError
+    def test_metrics_hold_only_instruments_used(self, testbox):
+        """Instruments are created on first use: a run without locks,
+        barriers or streams reports no zero-valued counters for them."""
+        def prog():
+            yield Compute(100)
+            yield Sleep(5)
 
+        engine = Engine(testbox)
+        engine.spawn(0, prog())
+        assert sorted(engine.run().metrics) == [
+            "sim.cycles", "sim.events", "sim.thread_blocked_cycles",
+            "sim.thread_busy_cycles", "sim.threads_spawned",
+        ]
+
+    def test_spawn_bad_context(self, engine):
         def prog():
             yield Compute(1)
 
