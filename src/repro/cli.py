@@ -454,7 +454,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         peers=tuple(args.peer or ()),
         peer_timeout=args.peer_timeout,
         peer_fanout=args.peer_fanout,
-        placement_index=not args.no_placement_index,
         trace_store=not args.no_trace_store,
         trace_max_traces=args.trace_max_traces,
         trace_max_bytes=args.trace_max_bytes,
@@ -1269,10 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-peer cache_fetch budget (seconds)")
     p_serve.add_argument("--peer-fanout", type=int, default=2,
                          help="ring-adjacent peers asked per cache miss")
-    p_serve.add_argument("--no-placement-index", action="store_true",
-                         help="skip precomputing placement indices; "
-                              "place answers through the legacy "
-                              "per-session pool (docs/PLACEMENT.md)")
     p_serve.add_argument("--no-trace-store", action="store_true",
                          help="skip the per-request trace store (the "
                               "trace verb answers enabled=false)")

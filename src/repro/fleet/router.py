@@ -29,29 +29,30 @@ Routing rules:
   membership/ring/health status document.
 * anything else — round-robined to a live member (the member answers
   ``unknown_verb`` itself, so new member verbs work through an old
-  router).
+  router), without per-verb instruments.
 
 Each forwarded frame is stamped with the router's ``request_id`` as
 ``parent_request_id``; the member tags its root span with it and echoes
 it back, so one fleet request reads as one stitched trace.  The
 router's access log carries ``member`` and ``upstream_ms`` per line.
+
+The router runs on the same server core as ``mctopd``
+(:mod:`repro.service.server`), so it frames, admits, drains and
+completes requests exactly as a daemon does.
 """
 
 from __future__ import annotations
 
 import asyncio
-import signal
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ServiceError
 from repro.fleet.health import HealthManager, probe_member
 from repro.fleet.members import MemberConnection, parse_members, one_shot_request
 from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.obs import Observability
-from repro.obs.events import EventLog
 from repro.obs.merge import (
     merge_cache_stats,
     merge_drift_docs,
@@ -60,19 +61,11 @@ from repro.obs.merge import (
     merge_slo_docs,
     merge_trace_summaries,
 )
-from repro.obs.trace_store import TraceStore, assemble_fleet_timeline
-from repro.service.accesslog import AccessLog
+from repro.obs.trace_store import assemble_fleet_timeline
 from repro.service.cache import inference_key
-from repro.service.context import current_request_id
 from repro.service.handlers import parse_inference_params
-from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    decode_request,
-    encode_frame,
-    error_response,
-    ok_response,
-)
+from repro.service.protocol import PROTOCOL_VERSION, VERBS, Request
+from repro.service.server import NdjsonServer, RequestRecord, run_server
 
 #: Verbs routed by inference digest (all resolve machine/seed/table).
 #: ``place_many`` shares ``place``'s params shape at the top level, so
@@ -87,10 +80,6 @@ AGGREGATE_VERBS = ("metrics", "drift", "slo", "profile")
 #: (``TimeoutError`` is an ``OSError`` subclass since 3.10, listed for
 #: clarity; ``asyncio.TimeoutError`` aliases it since 3.11.)
 TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, ConnectionError)
-
-
-def _new_request_id() -> str:
-    return uuid.uuid4().hex[:16]
 
 
 @dataclass(frozen=True)
@@ -130,34 +119,18 @@ class RouterConfig:
     trace_sample_every: int = 64
 
 
-class FleetRouter:
+class FleetRouter(NdjsonServer):
     """The server object: ``await start()``, then ``await wait_closed()``."""
+
+    prefix = "fleet"
+    lifecycle = "fleet.router"
+    name = "the fleet router"
 
     def __init__(self, config: RouterConfig,
                  obs: Observability | None = None):
-        if config.unix_path is None and config.host is None:
-            raise ServiceError("the fleet router needs a unix socket "
-                               "path, a TCP host, or both")
-        self.config = config
-        self.obs = obs or Observability()
-        self.event_log: EventLog | None = None
-        if config.event_log is not None:
-            self.event_log = EventLog(
-                config.event_log,
-                max_bytes=config.event_log_max_bytes,
-                backups=config.event_log_backups,
-                request_id_provider=current_request_id.get,
-            )
-        self.access_log: AccessLog | None = None
-        if config.access_log is not None:
-            self.access_log = AccessLog(
-                config.access_log,
-                max_bytes=config.access_log_max_bytes,
-                backups=config.access_log_backups,
-            )
-        specs = parse_members(list(config.members))
+        super().__init__(config, obs, member_id="router")
         self.health = HealthManager(
-            specs,
+            parse_members(list(config.members)),
             obs=self.obs,
             events=self.event_log,
             interval=config.health_interval,
@@ -166,275 +139,54 @@ class FleetRouter:
             replicas=config.replicas,
             probe=probe_member,
         )
-        self.trace_store: TraceStore | None = None
-        if config.trace_store:
-            self.trace_store = TraceStore(
-                obs=self.obs,
-                member_id="router",
-                max_traces=config.trace_max_traces,
-                max_bytes=config.trace_max_bytes,
-                ttl_seconds=config.trace_ttl,
-                sample_every=config.trace_sample_every,
-            )
-            self.obs.tracer.sink = self.trace_store.observe
-        self._servers: list[asyncio.base_events.Server] = []
-        self._connections: set[asyncio.Task] = set()
-        self._inflight = 0
         self._rr = 0
-        self._draining = False
-        self._drained = asyncio.Event()
+        # Only protocol verbs and ``fleet`` get per-verb instruments:
+        # any other verb is forwarded without them (its member answers
+        # it), so arbitrary verb strings cannot grow the registry.
+        self.routes = dict.fromkeys(VERBS, self._route)
+        self.routes.update(dict.fromkeys(AGGREGATE_VERBS, self._aggregate),
+                           ping=self._ping, fleet=self._fleet,
+                           trace=self._assemble_trace)
+        self.fallback = self._route
 
     # ------------------------------------------------------------ lifecycle
-    async def start(self) -> None:
-        """Bind the listeners and start the health loop.
-
-        One synchronous health sweep runs first, so the ring is
-        populated (members joined) before the first client request.
-        """
+    async def _start_components(self) -> dict:
+        """One synchronous health sweep runs first, so the ring is
+        populated (members joined) before the first client request."""
         await self.health.check_once()
         self.health.start()
-        cfg = self.config
-        if cfg.unix_path is not None:
-            path = Path(cfg.unix_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.is_socket():
-                path.unlink()
-            server = await asyncio.start_unix_server(
-                self._client_connected, path=str(path), limit=MAX_LINE_BYTES
-            )
-            self._servers.append(server)
-        if cfg.host is not None:
-            server = await asyncio.start_server(
-                self._client_connected, host=cfg.host, port=cfg.port,
-                limit=MAX_LINE_BYTES,
-            )
-            self._servers.append(server)
-        self.obs.instant("fleet.router.started",
-                         members=len(self.health.states),
-                         in_ring=len(self.health.ring))
+        return {"members": len(self.health.states),
+                "in_ring": len(self.health.ring)}
 
-    @property
-    def tcp_port(self) -> int | None:
-        for server in self._servers:
-            for sock in server.sockets:
-                if sock.family.name.startswith("AF_INET"):
-                    return sock.getsockname()[1]
-        return None
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, self.request_shutdown)
-
-    def request_shutdown(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        self.obs.instant("fleet.router.drain_begin")
-        for server in self._servers:
-            server.close()
-        asyncio.ensure_future(self._drain())
-
-    async def _drain(self) -> None:
-        for server in self._servers:
-            await server.wait_closed()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_timeout
-        while self._inflight > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        pending = {t for t in self._connections if not t.done()}
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+    async def _stop_components(self) -> None:
         await self.health.stop()
-        if self.access_log is not None:
-            self.access_log.close()
-        if self.event_log is not None:
-            self.event_log.emit("fleet.router.drained")
-            self.event_log.close()
-        if self.config.unix_path is not None:
-            path = Path(self.config.unix_path)
-            if path.is_socket():
-                path.unlink()
-        self.obs.instant("fleet.router.drain_end")
-        self._drained.set()
 
-    async def wait_closed(self) -> None:
-        await self._drained.wait()
-
-    # ------------------------------------------------------------ connections
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.obs.counter("fleet.connections.accepted").inc()
+    def _open_connection(self) -> dict:
         # One upstream connection per (client connection, member), so a
         # client's ``pool_switch`` session lives on the member exactly
         # as long as the client holds its connection to the router.
-        pool: dict[str, MemberConnection] = {}
-        try:
-            await self._serve_connection(reader, writer, pool)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            self.obs.counter("fleet.connections.reset").inc()
-        finally:
-            self._connections.discard(task)
-            for conn in pool.values():
-                await conn.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        return {}
 
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        pool: dict,
-    ) -> None:
-        while True:
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                rid = _new_request_id()
-                frame = encode_frame(error_response(
-                    None, "bad_request",
-                    f"request frame exceeds {MAX_LINE_BYTES} bytes",
-                    request_id=rid,
-                ))
-                writer.write(frame)
-                await writer.drain()
-                self._log_access(
-                    {"request_id": rid, "verb": None,
-                     "outcome": "bad_request", "duration_ms": 0.0},
-                    len(frame),
-                )
-                return
-            if not line:
-                return
-            if line.strip() == b"":
-                continue
-            meta: dict = {}
-            response = await self._dispatch(line, pool, meta)
-            frame = encode_frame(response)
-            writer.write(frame)
-            await writer.drain()
-            self._log_access(meta, len(frame))
+    async def _close_connection(self, pool: dict) -> None:
+        for conn in pool.values():
+            await conn.close()
 
-    def _log_access(self, meta: dict, bytes_out: int) -> None:
-        if self.access_log is None:
-            return
-        self.access_log.write(
-            request_id=meta.get("request_id", ""),
-            verb=meta.get("verb"),
-            outcome=meta.get("outcome", "ok"),
-            duration_ms=meta.get("duration_ms", 0.0),
-            cache=meta.get("cache"),
-            bytes_out=bytes_out,
-            member=meta.get("member"),
-            upstream_ms=meta.get("upstream_ms"),
-        )
+    # ------------------------------------------------------------ local verbs
+    async def _ping(self, request: Request, pool: dict,
+                    rec: RequestRecord) -> dict:
+        return self._ok(request, {
+            "pong": True,
+            "protocol": PROTOCOL_VERSION,
+            "role": "router",
+            "in_ring": len(self.health.ring),
+        }, rec)
 
-    # ------------------------------------------------------------ dispatch
-    async def _dispatch(self, line: bytes, pool: dict,
-                        meta: dict | None = None) -> dict:
-        if meta is None:
-            meta = {}
-        rid = _new_request_id()
-        meta.update({"request_id": rid, "verb": None,
-                     "outcome": "ok", "cache": None,
-                     "member": None, "upstream_ms": None})
-        token = current_request_id.set(rid)
-        start = time.perf_counter()
-        try:
-            return await self._dispatch_traced(line, pool, rid, meta)
-        finally:
-            current_request_id.reset(token)
-            duration_ms = (time.perf_counter() - start) * 1e3
-            meta["duration_ms"] = duration_ms
-            if self.trace_store is not None:
-                self.trace_store.finish(
-                    rid,
-                    verb=meta.get("verb"),
-                    outcome=meta.get("outcome", "ok"),
-                    duration_ms=duration_ms,
-                )
-
-    async def _dispatch_traced(self, line: bytes, pool: dict,
-                               rid: str, meta: dict) -> dict:
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            self.obs.counter("fleet.errors.bad_request").inc()
-            meta["outcome"] = "bad_request"
-            return error_response(None, "bad_request", str(exc),
-                                  request_id=rid)
-        verb = request.verb
-        meta["verb"] = verb
-        with self.obs.span("fleet.request", verb=verb, request_id=rid):
-            if verb == "ping":
-                return ok_response(request.id, {
-                    "pong": True,
-                    "protocol": PROTOCOL_VERSION,
-                    "role": "router",
-                    "in_ring": len(self.health.ring),
-                }, request_id=rid)
-            if verb == "fleet":
-                doc = self.health.status_doc()
-                doc["protocol"] = PROTOCOL_VERSION
-                doc["role"] = "router"
-                return ok_response(request.id, doc, request_id=rid)
-            if self._draining:
-                meta["outcome"] = "shutting_down"
-                return error_response(
-                    request.id, "shutting_down",
-                    "the fleet router is draining; no new requests "
-                    "accepted", request_id=rid,
-                )
-            if self._inflight >= self.config.max_pending:
-                self.obs.counter("fleet.errors.backpressure").inc()
-                meta["outcome"] = "backpressure"
-                return error_response(
-                    request.id, "backpressure",
-                    f"router queue full ({self.config.max_pending} in "
-                    f"flight); retry later", request_id=rid,
-                )
-            self._inflight += 1
-            self.obs.counter(f"fleet.requests.{verb}").inc()
-            try:
-                with self.obs.timer(f"fleet.latency.{verb}").time():
-                    if verb == "trace":
-                        result = await self._assemble_trace(request.params,
-                                                            rid)
-                        return ok_response(request.id, result,
-                                           request_id=rid)
-                    if verb in AGGREGATE_VERBS:
-                        result = await self._aggregate(verb, request.params,
-                                                       rid)
-                        return ok_response(request.id, result,
-                                           request_id=rid)
-                    return await self._route(verb, request, pool, rid,
-                                             meta)
-            except ServiceError as exc:
-                self.obs.counter(f"fleet.errors.{exc.code}").inc()
-                meta["outcome"] = exc.code
-                return error_response(request.id, exc.code, str(exc),
-                                      request_id=rid)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # never kill the connection loop
-                self.obs.counter("fleet.errors.internal").inc()
-                meta["outcome"] = "internal"
-                return error_response(
-                    request.id, "internal",
-                    f"{type(exc).__name__}: {exc}", request_id=rid,
-                )
-            finally:
-                self._inflight -= 1
+    async def _fleet(self, request: Request, pool: dict,
+                     rec: RequestRecord) -> dict:
+        doc = self.health.status_doc()
+        doc["protocol"] = PROTOCOL_VERSION
+        doc["role"] = "router"
+        return self._ok(request, doc, rec)
 
     # ------------------------------------------------------------ routing
     def _candidates(self, verb: str, params: dict) -> list[str]:
@@ -459,8 +211,9 @@ class FleetRouter:
         offset = self._rr % len(members)
         return members[offset:] + members[:offset]
 
-    async def _route(self, verb: str, request, pool: dict, rid: str,
-                     meta: dict) -> dict:
+    async def _route(self, request: Request, pool: dict,
+                     rec: RequestRecord) -> dict:
+        verb, rid = request.verb, rec.request_id
         candidates = self._candidates(verb, request.params)
         last_error = "no candidate tried"
         for member_id in candidates:
@@ -488,39 +241,34 @@ class FleetRouter:
                 continue
             upstream_ms = (time.perf_counter() - started) * 1e3
             self.obs.counter(f"fleet.forward.to.{member_id}").inc()
-            return self._stitch(doc, request.id, rid, member_id,
-                                upstream_ms, meta)
+            return self._stitch(doc, request, rec, member_id, upstream_ms)
         raise ServiceError(
             f"every candidate member failed (last: {last_error})",
             code="unavailable",
         )
 
-    def _stitch(self, doc: dict, client_id, rid: str, member_id: str,
-                upstream_ms: float, meta: dict) -> dict:
+    def _stitch(self, doc: dict, request: Request, rec: RequestRecord,
+                member_id: str, upstream_ms: float) -> dict:
         """The member's answer under the router's request id."""
-        response = {"id": client_id, "ok": bool(doc.get("ok"))}
+        response = {"id": request.id, "ok": bool(doc.get("ok"))}
         if "result" in doc:
             response["result"] = doc["result"]
         if "error" in doc:
             response["error"] = doc["error"]
-        response["request_id"] = rid
+        response["request_id"] = rec.request_id
         response["upstream"] = {
             "member": member_id,
             "request_id": doc.get("request_id"),
             "ms": round(upstream_ms, 3),
         }
-        meta["member"] = member_id
-        meta["upstream_ms"] = upstream_ms
+        rec.member = member_id
+        rec.upstream_ms = upstream_ms
         if not response["ok"]:
             code = (doc.get("error") or {}).get("code", "internal")
-            meta["outcome"] = code
+            rec.outcome = code
             self.obs.counter(f"fleet.upstream_errors.{code}").inc()
         else:
-            result = doc.get("result")
-            cached = result.get("cached") if isinstance(result, dict) \
-                else None
-            if isinstance(cached, bool):
-                meta["cache"] = "hit" if cached else "miss"
+            rec.note_cache(doc.get("result"))
         return response
 
     # -------------------------------------------------------- aggregation
@@ -557,7 +305,13 @@ class FleetRouter:
             )
         return docs
 
-    async def _aggregate(self, verb: str, params: dict, rid: str) -> dict:
+    async def _aggregate(self, request: Request, pool: dict,
+                         rec: RequestRecord) -> dict:
+        merged = await self._merged(request.verb, request.params,
+                                    rec.request_id)
+        return self._ok(request, merged, rec)
+
+    async def _merged(self, verb: str, params: dict, rid: str) -> dict:
         if verb == "metrics":
             fmt = params.get("format", "json")
             if fmt != "json":
@@ -645,7 +399,8 @@ class FleetRouter:
         return merged
 
     # ---------------------------------------------------- trace assembly
-    async def _assemble_trace(self, params: dict, rid: str) -> dict:
+    async def _assemble_trace(self, request: Request, pool: dict,
+                              rec: RequestRecord) -> dict:
         """One stitched fleet timeline for a request id.
 
         The router's own retained record (found via the id directly)
@@ -656,7 +411,7 @@ class FleetRouter:
         or answer ``unknown_verb`` are reported in ``missing_members``
         — an assembled trace must say what it could *not* see.
         """
-        request_id = params.get("request_id")
+        request_id = request.params.get("request_id")
         if not isinstance(request_id, str) or not request_id \
                 or len(request_id) > 64:
             raise ServiceError(
@@ -671,7 +426,7 @@ class FleetRouter:
             *(one_shot_request(s.spec, "trace",
                                {"request_id": request_id},
                                self.config.probe_timeout,
-                               parent_request_id=rid)
+                               parent_request_id=rec.request_id)
               for s in members),
             return_exceptions=True,
         )
@@ -715,21 +470,12 @@ class FleetRouter:
         }
         if not found and self.trace_store is not None:
             doc["store"] = self.trace_store.status_doc()
-        return doc
+        return self._ok(request, doc, rec)
 
 
 def run_router(config: RouterConfig,
                obs: Observability | None = None,
                ready_callback=None) -> int:
-    """Blocking entry point used by ``mctop fleet serve``."""
-
-    async def _main() -> None:
-        router = FleetRouter(config, obs=obs)
-        await router.start()
-        router.install_signal_handlers()
-        if ready_callback is not None:
-            ready_callback(router)
-        await router.wait_closed()
-
-    asyncio.run(_main())
-    return 0
+    """Blocking entry point: the router until SIGTERM/SIGINT completes
+    the graceful drain."""
+    return run_server(lambda: FleetRouter(config, obs=obs), ready_callback)

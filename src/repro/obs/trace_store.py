@@ -156,10 +156,11 @@ class TraceStore:
     ) -> None:
         """Seal a request's trace and decide its retention class.
 
-        Called from the daemon's dispatch ``finally`` for every frame,
-        errors included — an error response with no recorded spans
-        still yields a (tiny) pinned record, because "the trace of the
-        failing request" is exactly what gets asked for.
+        Called once for every answered frame, errors included, by the
+        server core's request completion — an error response with no
+        recorded spans still yields a (tiny) pinned record, because
+        "the trace of the failing request" is exactly what gets asked
+        for.
         """
         open_record = self._open.pop(request_id, None) \
             or {"spans": [], "instants": []}

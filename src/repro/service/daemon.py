@@ -2,22 +2,15 @@
 
 One long-lived process amortizes MCTOP-ALG across every client on the
 machine, the way libmctop amortizes it across process lifetimes with
-description files.  The daemon listens on a Unix socket and/or a TCP
-port, speaks the NDJSON protocol of :mod:`repro.service.protocol`, and
-serves each connection a :class:`~repro.service.handlers.Session` of
-its own.
+description files.  The daemon runs on the NDJSON server core of
+:mod:`repro.service.server` (listeners, framing, backpressure, graceful
+drain, request completion), answers the verbs of
+:class:`~repro.service.handlers.Handlers`, and serves each connection a
+:class:`~repro.service.handlers.Session` of its own.
 
-Robustness model:
-
-* **timeouts** — every request runs under ``request_timeout`` seconds
-  (``asyncio.wait_for``); the client gets a ``timeout`` error, the
-  underlying single-flight inference keeps running for later waiters;
-* **backpressure** — at most ``max_pending`` requests execute at once;
-  beyond that the daemon answers immediately with a ``backpressure``
-  error instead of queueing unboundedly;
-* **graceful drain** — SIGTERM/SIGINT stop the listeners, in-flight
-  requests get ``drain_timeout`` seconds to finish, then the loop
-  exits cleanly (exit code 0).
+Every request runs under ``request_timeout`` seconds
+(``asyncio.wait_for``); the client gets a ``timeout`` error, the
+underlying single-flight inference keeps running for later waiters.
 
 Everything is observable: request counts and latencies per verb, queue
 depth, cache hit/miss/eviction counters and single-flight coalesce
@@ -28,34 +21,23 @@ are exported through the ``metrics`` verb.
 from __future__ import annotations
 
 import asyncio
-import signal
-import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.algorithm import LatencyTableConfig
-from repro.errors import MctopError, ProtocolError, ServiceError
+from repro.errors import ServiceError
 from repro.obs import Observability
-from repro.obs.events import EventLog
-from repro.service.accesslog import AccessLog
 from repro.service.cache import InferenceCache
 from repro.service.context import current_request_id
 from repro.service.drift import DriftWatcher
 from repro.service.handlers import Handlers, Session, prometheus_text
-from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    VERBS,
-    decode_request,
-    encode_frame,
-    error_response,
-    ok_response,
+from repro.service.protocol import VERBS, Request
+from repro.service.server import (
+    NdjsonServer,
+    RequestRecord,
+    inet_port,
+    run_server,
 )
-
-
-def _new_request_id() -> str:
-    """A 16-hex-char server-generated request id (64 random bits)."""
-    return uuid.uuid4().hex[:16]
 
 
 @dataclass(frozen=True)
@@ -103,11 +85,6 @@ class ServeConfig:
     peer_timeout: float = 5.0
     #: How many ring-adjacent peers to ask per miss.
     peer_fanout: int = 2
-    #: Precompute a per-topology :class:`~repro.place.index.PlacementIndex`
-    #: at cache-insert time (persisted as a ``.pidx.gz`` sidecar) so
-    #: ``place``/``place_many`` answer from a dictionary lookup.  Off,
-    #: every query computes through the legacy per-session pool.
-    placement_index: bool = True
     #: Per-request trace retention (the ``trace`` verb): spans grouped
     #: by request id with tail-based retention — error / SLO-violating
     #: traces and a 1-in-``trace_sample_every`` sample pinned, fast ok
@@ -138,23 +115,14 @@ class ServeConfig:
     debug_verbs: bool = False
 
 
-class MctopDaemon:
+class MctopDaemon(NdjsonServer):
     """The server object: ``await start()``, then ``await wait_closed()``."""
 
+    prefix = lifecycle = "service"
+    name = "mctopd"
+
     def __init__(self, config: ServeConfig, obs: Observability | None = None):
-        if config.unix_path is None and config.host is None:
-            raise ServiceError("mctopd needs a unix socket path, "
-                               "a TCP host, or both")
-        self.config = config
-        self.obs = obs or Observability()
-        self.event_log: EventLog | None = None
-        if config.event_log is not None:
-            self.event_log = EventLog(
-                config.event_log,
-                max_bytes=config.event_log_max_bytes,
-                backups=config.event_log_backups,
-                request_id_provider=current_request_id.get,
-            )
+        super().__init__(config, obs, member_id=config.member_id)
         self.cache = InferenceCache(
             store_dir=config.store_dir,
             max_memory_entries=config.max_memory_entries,
@@ -174,20 +142,6 @@ class MctopDaemon:
                 ),
                 events=self.event_log,
             )
-        self.trace_store = None
-        if config.trace_store:
-            from repro.obs.trace_store import TraceStore
-
-            self.trace_store = TraceStore(
-                obs=self.obs,
-                member_id=config.member_id,
-                max_traces=config.trace_max_traces,
-                max_bytes=config.trace_max_bytes,
-                ttl_seconds=config.trace_ttl,
-                sample_every=config.trace_sample_every,
-            )
-            self.obs.tracer.sink = self.trace_store.observe
-        self.slo_engine = None
         if config.slo:
             from repro.obs.slo import (
                 DEFAULT_OBJECTIVES,
@@ -202,7 +156,6 @@ class MctopDaemon:
             self.slo_engine = SloEngine(
                 objectives, obs=self.obs, events=self.event_log
             )
-        self.profiler = None
         if config.profile:
             from repro.obs.profiler import SamplingProfiler
 
@@ -229,47 +182,20 @@ class MctopDaemon:
             peer_timeout=config.peer_timeout,
             peer_fanout=config.peer_fanout,
             events=self.event_log,
-            placement_index=config.placement_index,
             trace_store=self.trace_store,
             slo_engine=self.slo_engine,
             profiler=self.profiler,
         )
-        self._servers: list[asyncio.base_events.Server] = []
-        # The metrics HTTP listener lives outside self._servers so the
-        # tcp_port property (which scans for AF_INET sockets) keeps
-        # answering with the NDJSON port.
+        self.routes = dict.fromkeys(VERBS, self._call)
+        if config.debug_verbs:
+            self.routes["_sleep"] = self._call
+        # The metrics HTTP listener lives outside the NDJSON listeners
+        # so tcp_port keeps answering with the NDJSON port.
         self._metrics_server: asyncio.base_events.Server | None = None
-        self.access_log: AccessLog | None = None
-        if config.access_log is not None:
-            self.access_log = AccessLog(
-                config.access_log,
-                max_bytes=config.access_log_max_bytes,
-                backups=config.access_log_backups,
-            )
-        self._connections: set[asyncio.Task] = set()
-        self._inflight = 0
-        self._draining = False
-        self._drained = asyncio.Event()
 
     # ------------------------------------------------------------ lifecycle
-    async def start(self) -> None:
-        """Bind the listeners (idempotent-unfriendly: call once)."""
+    async def _start_components(self) -> dict:
         cfg = self.config
-        if cfg.unix_path is not None:
-            path = Path(cfg.unix_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.is_socket():
-                path.unlink()
-            server = await asyncio.start_unix_server(
-                self._client_connected, path=str(path), limit=MAX_LINE_BYTES
-            )
-            self._servers.append(server)
-        if cfg.host is not None:
-            server = await asyncio.start_server(
-                self._client_connected, host=cfg.host, port=cfg.port,
-                limit=MAX_LINE_BYTES,
-            )
-            self._servers.append(server)
         if cfg.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
                 self._serve_metrics_http,
@@ -280,349 +206,47 @@ class MctopDaemon:
             self.watcher.start()
         if self.profiler is not None:
             self.profiler.start()
-        self.obs.instant("service.started")
-
-    @property
-    def tcp_port(self) -> int | None:
-        """The bound TCP port (useful with ``port=0``)."""
-        for server in self._servers:
-            for sock in server.sockets:
-                if sock.family.name.startswith("AF_INET"):
-                    return sock.getsockname()[1]
-        return None
+        return {}
 
     @property
     def bound_metrics_port(self) -> int | None:
         """The bound metrics HTTP port (useful with ``metrics_port=0``)."""
         if self._metrics_server is None:
             return None
-        for sock in self._metrics_server.sockets:
-            if sock.family.name.startswith("AF_INET"):
-                return sock.getsockname()[1]
-        return None
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, self.request_shutdown)
+        return inet_port([self._metrics_server])
 
     def request_shutdown(self) -> None:
-        """Begin the graceful drain (safe to call from a signal handler)."""
-        if self._draining:
-            return
-        self._draining = True
-        self.obs.instant("service.drain_begin")
-        for server in self._servers:
-            server.close()
         if self._metrics_server is not None:
             self._metrics_server.close()
-        asyncio.ensure_future(self._drain())
+        super().request_shutdown()
 
-    async def _drain(self) -> None:
-        for server in self._servers:
-            await server.wait_closed()
-        # Wait for in-flight requests only; clients idling in readline
-        # get disconnected as soon as the last response is written.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_timeout
-        while self._inflight > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        if self._inflight > 0:
-            self.obs.counter("service.drain.aborted_requests").inc(
-                self._inflight
-            )
-        pending = {t for t in self._connections if not t.done()}
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+    async def _stop_components(self) -> None:
         if self._metrics_server is not None:
             await self._metrics_server.wait_closed()
         if self.profiler is not None:
             self.profiler.stop()
         if self.watcher is not None:
             await self.watcher.stop()
-        # Flush-and-fsync both NDJSON logs: the final access line and
-        # drift event must be durably on disk before the process exits.
-        if self.access_log is not None:
-            self.access_log.close()
-        if self.event_log is not None:
-            self.event_log.emit("service.drained")
-            self.event_log.close()
-        self._cleanup_unix_socket()
-        self.obs.instant("service.drain_end")
-        self._drained.set()
 
-    def _cleanup_unix_socket(self) -> None:
-        if self.config.unix_path is not None:
-            path = Path(self.config.unix_path)
-            if path.is_socket():
-                path.unlink()
+    # ------------------------------------------------------------ verbs
+    def _open_connection(self) -> Session:
+        return Session()
 
-    async def wait_closed(self) -> None:
-        """Block until the graceful drain completes."""
-        await self._drained.wait()
-
-    async def serve_forever(self) -> None:
-        """start() + signal handlers + block until drained."""
-        await self.start()
-        self.install_signal_handlers()
-        await self.wait_closed()
-
-    # ------------------------------------------------------------ connections
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.obs.counter("service.connections.accepted").inc()
-        self.obs.gauge("service.connections.open").set(len(self._connections))
-        session = Session()
+    async def _call(self, request: Request, session: Session,
+                    rec: RequestRecord) -> dict:
+        """One :class:`Handlers` verb, under ``request_timeout``."""
+        handler = getattr(self.handlers, request.verb)
         try:
-            await self._serve_connection(reader, writer, session)
-        except asyncio.CancelledError:
-            # Drain cancelled an idle connection; that is a clean close,
-            # not an error to propagate into asyncio's stream callback.
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            self.obs.counter("service.connections.reset").inc()
-        finally:
-            self._connections.discard(task)
-            self.obs.gauge("service.connections.open").set(
-                len(self._connections)
+            result = await asyncio.wait_for(
+                handler(request.params, session),
+                timeout=self.config.request_timeout,
             )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        session: Session,
-    ) -> None:
-        while True:
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                rid = _new_request_id()
-                response = error_response(
-                    None, "bad_request",
-                    f"request frame exceeds {MAX_LINE_BYTES} bytes",
-                    request_id=rid,
-                )
-                frame = encode_frame(response)
-                writer.write(frame)
-                await writer.drain()
-                self._log_access(
-                    {"request_id": rid, "verb": None,
-                     "outcome": "bad_request", "duration_ms": 0.0},
-                    len(frame),
-                )
-                return  # framing is lost; drop the connection
-            if not line:
-                return  # EOF
-            if line.strip() == b"":
-                continue
-            meta: dict = {}
-            response = await self._dispatch(line, session, meta)
-            frame = encode_frame(response)
-            writer.write(frame)
-            await writer.drain()
-            self._log_access(meta, len(frame))
-
-    def _log_access(self, meta: dict, bytes_out: int) -> None:
-        if self.access_log is None:
-            return
-        self.access_log.write(
-            request_id=meta.get("request_id", ""),
-            verb=meta.get("verb"),
-            outcome=meta.get("outcome", "ok"),
-            duration_ms=meta.get("duration_ms", 0.0),
-            cache=meta.get("cache"),
-            bytes_out=bytes_out,
-        )
-
-    # ------------------------------------------------------------ dispatch
-    async def _dispatch(
-        self, line: bytes, session: Session, meta: dict | None = None
-    ) -> dict:
-        """Decode, route and answer one request frame.
-
-        Every frame — even an unparseable one — gets a server-generated
-        ``request_id``: it is set in :data:`current_request_id` for the
-        duration of the dispatch (so every nested span and instant can
-        pick it up), recorded on the ``service.request`` root span,
-        echoed in the response, and written to the access log.  ``meta``
-        is filled for the caller's access-log line.
-        """
-        if meta is None:
-            meta = {}
-        rid = _new_request_id()
-        meta.update({"request_id": rid, "verb": None,
-                     "outcome": "ok", "cache": None})
-        token = current_request_id.set(rid)
-        start = time.perf_counter()
-        try:
-            response = await self._dispatch_traced(line, session, rid, meta)
-            # Echo a proxy's stitched id so the hop is traceable from
-            # the response alone (the router's id ties the member's
-            # spans/events back to the fleet-wide request).
-            parent = meta.get("parent_request_id")
-            if parent is not None:
-                response["parent_request_id"] = parent
-            return response
-        finally:
-            current_request_id.reset(token)
-            duration = time.perf_counter() - start
-            meta["duration_ms"] = duration * 1e3
-            self._finish_request(rid, meta, duration)
-
-    def _finish_request(self, rid: str, meta: dict, duration: float) -> None:
-        """Post-response bookkeeping, in dependency order: the SLO
-        engine scores the request first, because its verdict is the
-        tail-sampling signal that decides whether the trace store pins
-        this trace."""
-        verb = meta.get("verb")
-        outcome = meta.get("outcome", "ok")
-        violation = False
-        if self.slo_engine is not None and verb is not None:
-            violation = self.slo_engine.observe(
-                verb, duration, ok=outcome == "ok"
-            )
-        if self.trace_store is not None:
-            self.trace_store.finish(
-                rid,
-                verb=verb,
-                outcome=outcome,
-                duration_ms=duration * 1e3,
-                slo_violation=violation,
-                parent_request_id=meta.get("parent_request_id"),
-            )
-
-    async def _dispatch_traced(
-        self, line: bytes, session: Session, rid: str, meta: dict
-    ) -> dict:
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            self.obs.counter("service.errors.bad_request").inc()
-            meta["outcome"] = "bad_request"
-            # Degenerate root span so even a rejected frame's
-            # request_id resolves to something in the trace.
-            with self.obs.span("service.request", verb=None,
-                               request_id=rid, outcome="bad_request"):
-                pass
-            return error_response(None, "bad_request", str(exc),
-                                  request_id=rid)
-
-        verb = request.verb
-        meta["verb"] = verb
-        span_args = {"verb": verb, "request_id": rid}
-        if request.parent_request_id is not None:
-            meta["parent_request_id"] = request.parent_request_id
-            span_args["parent_request_id"] = request.parent_request_id
-        with self.obs.span("service.request", **span_args):
-            handler = self._resolve_verb(verb)
-            if handler is None:
-                self.obs.counter("service.errors.unknown_verb").inc()
-                meta["outcome"] = "unknown_verb"
-                return error_response(
-                    request.id, "unknown_verb",
-                    f"unknown verb {verb!r} (known: {', '.join(VERBS)})",
-                    request_id=rid,
-                )
-            if self._draining:
-                meta["outcome"] = "shutting_down"
-                return error_response(
-                    request.id, "shutting_down",
-                    "mctopd is draining; no new requests accepted",
-                    request_id=rid,
-                )
-            if self._inflight >= self.config.max_pending:
-                self.obs.counter("service.errors.backpressure").inc()
-                meta["outcome"] = "backpressure"
-                return error_response(
-                    request.id, "backpressure",
-                    f"request queue full "
-                    f"({self.config.max_pending} in flight); retry later",
-                    request_id=rid,
-                )
-
-            self._inflight += 1
-            self.obs.counter(f"service.requests.{verb}").inc()
-            self.obs.gauge("service.queue_depth").set(self._inflight)
-            timer = self.obs.timer(f"service.latency.{verb}")
-            # The sampler thread cannot read the asyncio ContextVar, so
-            # publish (verb, rid) for it explicitly around the handler.
-            profile_handle = None
-            if self.profiler is not None:
-                profile_handle = self.profiler.begin_dispatch(
-                    verb,
-                    request_id=rid,
-                    parent_request_id=meta.get("parent_request_id"),
-                )
-            handler_start = time.perf_counter()
-            try:
-                result = await asyncio.wait_for(
-                    handler(request.params, session),
-                    timeout=self.config.request_timeout,
-                )
-                cached = result.get("cached") if isinstance(result, dict) \
-                    else None
-                if isinstance(cached, bool):
-                    meta["cache"] = "hit" if cached else "miss"
-                return ok_response(request.id, result, request_id=rid)
-            except asyncio.TimeoutError:
-                self.obs.counter("service.errors.timeout").inc()
-                meta["outcome"] = "timeout"
-                return error_response(
-                    request.id, "timeout",
-                    f"request exceeded {self.config.request_timeout}s",
-                    request_id=rid,
-                )
-            except ServiceError as exc:
-                self.obs.counter(f"service.errors.{exc.code}").inc()
-                meta["outcome"] = exc.code
-                return error_response(request.id, exc.code, str(exc),
-                                      request_id=rid)
-            except MctopError as exc:
-                self.obs.counter("service.errors.mctop_error").inc()
-                meta["outcome"] = "mctop_error"
-                return error_response(request.id, "mctop_error", str(exc),
-                                      request_id=rid)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # never kill the connection loop
-                self.obs.counter("service.errors.internal").inc()
-                meta["outcome"] = "internal"
-                return error_response(
-                    request.id, "internal", f"{type(exc).__name__}: {exc}",
-                    request_id=rid,
-                )
-            finally:
-                self._inflight -= 1
-                self.obs.gauge("service.queue_depth").set(self._inflight)
-                elapsed = time.perf_counter() - handler_start
-                timer.observe(elapsed)
-                # Label the latency exemplar with the fleet-wide id
-                # when the request was forwarded, so a merged metrics
-                # doc's slowest-request ids paste straight into
-                # ``mctop trace show`` against the router.
-                timer.record_exemplar(
-                    elapsed, meta.get("parent_request_id") or rid
-                )
-                if profile_handle is not None:
-                    self.profiler.end_dispatch(profile_handle)
-
-    def _resolve_verb(self, verb: str):
-        if verb in VERBS:
-            return getattr(self.handlers, verb)
-        if verb == "_sleep" and self.config.debug_verbs:
-            return self.handlers._sleep
-        return None
+        except asyncio.TimeoutError:
+            raise ServiceError(
+                f"request exceeded {self.config.request_timeout}s",
+                code="timeout",
+            ) from None
+        return self._ok(request, result, rec)
 
     # ------------------------------------------------------- metrics HTTP
     async def _serve_metrics_http(
@@ -693,14 +317,4 @@ def run_daemon(config: ServeConfig,
     Runs the daemon until SIGTERM/SIGINT completes the graceful drain.
     ``ready_callback(daemon)`` fires once the listeners are bound.
     """
-
-    async def _main() -> None:
-        daemon = MctopDaemon(config, obs=obs)
-        await daemon.start()
-        daemon.install_signal_handlers()
-        if ready_callback is not None:
-            ready_callback(daemon)
-        await daemon.wait_closed()
-
-    asyncio.run(_main())
-    return 0
+    return run_server(lambda: MctopDaemon(config, obs=obs), ready_callback)

@@ -187,7 +187,6 @@ class Handlers:
         peer_timeout: float = 5.0,
         peer_fanout: int = 2,
         events=None,
-        placement_index: bool = True,
         trace_store=None,
         slo_engine=None,
         profiler=None,
@@ -204,10 +203,6 @@ class Handlers:
         self.profiler = profiler
         self.default_repetitions = default_repetitions
         self.debug_verbs = debug_verbs
-        #: Serve ``place``/``place_many`` from the precomputed
-        #: per-topology index (built at cache-insert time); off, every
-        #: query computes through the legacy per-session pool path.
-        self.placement_index = placement_index
         #: Per-index memo of fully-formed ``place`` result documents
         #: (see ``place_many``); weak keys tie each memo's lifetime to
         #: its index object.
@@ -362,8 +357,6 @@ class Handlers:
         lookup; the index persists next to the ``.mct.gz`` blob so warm
         restarts skip the rebuild.
         """
-        if not self.placement_index:
-            return
         request_id = current_request_id.get()
         with self.obs.span("service.place_index_build", key=key[:12],
                            request_id=request_id):
@@ -421,22 +414,20 @@ class Handlers:
         """One placement query — a dictionary lookup on the hot path.
 
         The response is versioned in place: ``index`` reports whether
-        the precomputed :class:`~repro.place.index.PlacementIndex`
-        answered (``false`` means the legacy per-session pool computed
-        it) and ``ms`` is the server-side service time.  Old clients
-        ignore both keys; ``policy`` / ``n_threads`` / ``ordering`` /
-        ``stats`` are unchanged and byte-identical between the two
-        paths.
+        the precomputed grid of the topology's
+        :class:`~repro.place.index.PlacementIndex` answered (``false``
+        means the query fell outside it and was computed) and ``ms`` is
+        the server-side service time.  Old clients ignore both keys;
+        ``policy`` / ``n_threads`` / ``ordering`` / ``stats`` are
+        byte-identical to an in-process :class:`~repro.place.Placement`.
         """
         start = time.perf_counter()
         key, mctop, cached = await self._topology(params)
-        index = await self._index(key, mctop) if self.placement_index \
-            else None
+        index = await self._index(key, mctop)
         policy = self._policy(params)
         n_threads = _get_int(params, "threads", None)
         n_sockets = _get_int(params, "sockets", None)
-        doc = self._place_query(session, key, mctop, index, policy,
-                                n_threads, n_sockets)
+        doc = self._place_query(index, policy, n_threads, n_sockets)
         doc.update(key=key, cached=cached)
         doc["ms"] = round((time.perf_counter() - start) * 1e3, 3)
         return doc
@@ -469,8 +460,7 @@ class Handlers:
         if not isinstance(include_stats, bool):
             raise _invalid("'include_stats' must be a boolean")
         key, mctop, cached = await self._topology(params)
-        index = await self._index(key, mctop) if self.placement_index \
-            else None
+        index = await self._index(key, mctop)
         self.obs.histogram("service.place.batch_size").observe(len(queries))
         # The index is immutable, so a query's full result document is
         # a constant: memoize it per (policy, threads, sockets) and the
@@ -479,15 +469,14 @@ class Handlers:
         # a topology drops its documents too.  Batch results carry no
         # per-query ``ms`` — a lookup's service time is the frame's,
         # measured client-side; the single ``place`` verb keeps it.
-        memo = self._place_docs.setdefault(index, {}) \
-            if index is not None else None
+        memo = self._place_docs.setdefault(index, {})
         results = []
         memo_hits = 0
         for i, query in enumerate(queries):
             if i and i % 512 == 0:
                 # Yield so a long batch cannot starve the event loop.
                 await asyncio.sleep(0)
-            if memo is not None and isinstance(query, dict):
+            if isinstance(query, dict):
                 probe = (query.get("policy", "CON_HWC"),
                          query.get("threads"), query.get("sockets"),
                          include_stats)
@@ -507,8 +496,7 @@ class Handlers:
                 policy = self._policy(query)
                 n_threads = _get_int(query, "threads", None)
                 n_sockets = _get_int(query, "sockets", None)
-                doc = self._place_query(session, key, mctop, index, policy,
-                                        n_threads, n_sockets,
+                doc = self._place_query(index, policy, n_threads, n_sockets,
                                         include_stats=include_stats)
                 if probe is not None and doc["index"]:
                     memo[probe] = doc
@@ -733,45 +721,30 @@ class Handlers:
             )
         return policy
 
-    def _place_query(self, session: Session, key: str, mctop: Mctop,
-                     index, policy: Policy, n_threads: int | None,
+    def _place_query(self, index, policy: Policy, n_threads: int | None,
                      n_sockets: int | None, *,
                      include_stats: bool = True) -> dict:
-        """Answer one placement query: index lookup first, legacy
-        per-session pool on a miss.  Both paths produce byte-identical
-        ``ordering`` and ``stats``; ``index`` in the doc records which
-        one answered."""
-        if index is not None:
-            hit = index.lookup(policy, n_threads, n_sockets)
-            if hit is not None:
-                self.obs.counter("service.place.index_hits").inc()
-                doc = {
-                    "policy": hit.policy,
-                    "n_threads": hit.n_threads,
-                    "ordering": list(hit.ordering),
-                    "index": True,
-                }
-                if include_stats:
-                    doc["stats"] = hit.stats
-                return doc
-        self.obs.counter("service.place.index_misses").inc()
-        placement = self._placement(session, key, mctop, policy,
-                                    n_threads, n_sockets)
+        """Answer one placement query from the topology's index: a
+        lookup on the precomputed grid, or :meth:`PlacementIndex.get` on
+        a miss, which computes through :class:`~repro.place.Placement`
+        and raises its ``PlacementError`` for an invalid query.
+        ``index`` in the doc records whether the grid answered."""
+        hit = index.lookup(policy, n_threads, n_sockets)
+        indexed = hit is not None
+        if indexed:
+            self.obs.counter("service.place.index_hits").inc()
+        else:
+            self.obs.counter("service.place.index_misses").inc()
+            try:
+                hit = index.get(policy, n_threads, n_sockets)
+            except MctopError as exc:
+                raise ServiceError(str(exc), code="mctop_error") from exc
         doc = {
-            "policy": placement.policy.value,
-            "n_threads": placement.n_threads,
-            "ordering": list(placement.ordering),
-            "index": False,
+            "policy": hit.policy,
+            "n_threads": hit.n_threads,
+            "ordering": list(hit.ordering),
+            "index": indexed,
         }
         if include_stats:
-            doc["stats"] = placement.print_stats()
+            doc["stats"] = hit.stats
         return doc
-
-    def _placement(self, session: Session, key: str, mctop: Mctop,
-                   policy: Policy, n_threads: int | None,
-                   n_sockets: int | None):
-        pool = session.pool_for(key, mctop)
-        try:
-            return pool.get(policy, n_threads, n_sockets)
-        except MctopError as exc:
-            raise ServiceError(str(exc), code="mctop_error") from exc

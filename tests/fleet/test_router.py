@@ -8,14 +8,17 @@ re-routes without a client-visible error and ejects it from the ring.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import inference_key
+from repro.service import MAX_LINE_BYTES, inference_key
 from repro.service.handlers import parse_inference_params
 
 
@@ -26,6 +29,20 @@ def read_ndjson(path) -> list[dict]:
 
 def events_of_kind(path, kind: str) -> list[dict]:
     return [e for e in read_ndjson(path) if e.get("kind") == kind]
+
+
+def wait_for_line(path, predicate, timeout: float = 5.0) -> dict | None:
+    """The first access-log line matching ``predicate``, polling until
+    it lands on disk or ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while True:
+        if os.path.exists(path):
+            for line in read_ndjson(path):
+                if predicate(line):
+                    return line
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(0.02)
 
 
 def router_key(harness, machine: str, **params) -> str:
@@ -68,6 +85,21 @@ class TestBasics:
             with pytest.raises(ServiceError) as exc:
                 client.request("bogus")
         assert exc.value.code == "unknown_verb"
+
+    def test_unknown_verbs_do_not_grow_the_router_registry(self, fleet):
+        registry = fleet.router.obs.registry
+
+        def send(prefix: str, count: int) -> None:
+            with fleet.client() as client:
+                for i in range(count):
+                    with pytest.raises(ServiceError) as exc:
+                        client.request(f"{prefix}-{i}")
+                    assert exc.value.code == "unknown_verb"
+
+        send("warmup", 6)  # round-robin: every member answers twice
+        before = len(registry)
+        send("bogus", 60)
+        assert len(registry) == before
 
     def test_responses_carry_upstream_and_router_request_id(self, fleet):
         with fleet.client() as client:
@@ -252,3 +284,112 @@ class TestAccessLog:
             if s.args.get("parent_request_id") == router_rid
         ]
         assert len(spans) == 1
+
+    def test_client_that_hangs_up_still_gets_its_line(self, fleet):
+        """The line is written before the answer, so a client gone by
+        then cannot lose it."""
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(fleet.router_config.unix_path)
+            sock.sendall(b'{"verb": "_sleep", "params": {"seconds": 0.2}}\n')
+        line = wait_for_line(fleet.router_config.access_log,
+                             lambda e: e["verb"] == "_sleep")
+        assert line is not None, "no access-log line for the _sleep"
+        assert line["outcome"] == "ok"
+        assert line["member"] in ("m0", "m1", "m2")
+
+
+class TestRobustness:
+    def test_oversized_frame_is_rejected_logged_and_dropped(self, fleet):
+        frame = (b'{"verb": "ping", "pad": "' + b"x" * MAX_LINE_BYTES
+                 + b'"}\n')
+
+        def flood(sock) -> None:
+            try:
+                sock.sendall(frame)
+            except OSError:
+                pass  # the router drops the connection mid-frame
+
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(fleet.router_config.unix_path)
+            sender = threading.Thread(target=flood, args=(sock,))
+            sender.start()
+            with sock.makefile("rb") as reader:
+                doc = json.loads(reader.readline())
+                try:
+                    tail = reader.readline()
+                except ConnectionResetError:
+                    tail = b""
+            sender.join(30)
+        assert not sender.is_alive()
+        assert doc["ok"] is False
+        assert doc["error"]["code"] == "bad_request"
+        assert tail == b"", "the connection must drop after the reject"
+        line = wait_for_line(fleet.router_config.access_log,
+                             lambda e: e["request_id"] == doc["request_id"])
+        assert line is not None
+        assert line["outcome"] == "bad_request"
+        assert line["verb"] is None
+
+    def test_backpressure(self, fleet_factory):
+        fleet = fleet_factory(router_overrides={"max_pending": 1})
+        blocker = fleet.client(timeout=10.0).connect()
+        release = threading.Thread(
+            target=lambda: blocker.request("_sleep", seconds=1.5)
+        )
+        release.start()
+        try:
+            saw_backpressure = False
+            deadline = time.monotonic() + 1.4
+            with fleet.client() as client:
+                while time.monotonic() < deadline and not saw_backpressure:
+                    try:
+                        client.request("_sleep", seconds=0)
+                    except ServiceError as exc:
+                        assert exc.code == "backpressure"
+                        saw_backpressure = True
+                    time.sleep(0.01)
+            assert saw_backpressure, "queue-full never produced backpressure"
+        finally:
+            release.join(10)
+            blocker.close()
+        assert not release.is_alive()
+        # Slot freed: requests are admitted again.
+        with fleet.client() as client:
+            assert client.request("_sleep", seconds=0)["slept"] == 0.0
+
+    def test_drain_rejects_new_frames_then_finishes(self, fleet):
+        router = fleet.router
+        answers = {}
+        blocker = fleet.client(timeout=10.0).connect()
+        idle = fleet.client(timeout=10.0).connect()
+        assert idle.ping()["pong"] is True
+        sleeper = threading.Thread(target=lambda: answers.update(
+            sleep=blocker.request("_sleep", seconds=1.0)))
+        sleeper.start()
+        deadline = time.monotonic() + 5
+        while not any(d.obs.registry.value("service.requests._sleep")
+                      for d in fleet.daemons.values()):
+            assert time.monotonic() < deadline, "the _sleep never arrived"
+            time.sleep(0.01)
+
+        async def shutdown() -> None:
+            router.request_shutdown()
+
+        asyncio.run_coroutine_threadsafe(shutdown(), fleet.loop).result(5)
+        try:
+            with pytest.raises(ServiceError) as exc:
+                idle.ping()
+            assert exc.value.code == "shutting_down"
+        finally:
+            sleeper.join(10)
+            blocker.close()
+            idle.close()
+        assert not sleeper.is_alive()
+        assert answers["sleep"]["slept"] == 1.0
+        asyncio.run_coroutine_threadsafe(
+            router.wait_closed(), fleet.loop
+        ).result(15)
+        assert not os.path.exists(fleet.router_config.unix_path)
+        kinds = [e["kind"] for e in read_ndjson(fleet.router_config.event_log)]
+        assert kinds[-1] == "fleet.router.drained"

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.serialize import mctop_from_dict
 from repro.errors import ServiceError
+from repro.place import Placement
+from repro.place.policies import ALL_POLICIES
+
+
+def served_topology(client):
+    """The daemon's topology for ``testbox`` seed 1, for the oracle."""
+    doc = client.infer("testbox", seed=1, include_topology=True)
+    return mctop_from_dict(doc["topology"])
 
 
 def _strip(doc: dict) -> dict:
@@ -31,21 +40,30 @@ class TestPlaceResponse:
         assert isinstance(doc["ordering"], list)
         assert "Figure 7" in doc["stats"] or "latency" in doc["stats"]
 
-    def test_no_placement_index_daemon_still_places(self, daemon_factory):
-        harness = daemon_factory(placement_index=False)
+    def test_every_policy_matches_in_process_placement(self, harness):
+        """The oracle: an in-process ``Placement`` on the topology the
+        daemon serves yields the same ordering and stats, byte for
+        byte, for all 12 policies."""
         with harness.client() as client:
-            doc = client.place("testbox", "RR_CORE", threads=4, seed=1)
-        assert doc["index"] is False
-        assert len(doc["ordering"]) == 4
+            mctop = served_topology(client)
+            for policy in ALL_POLICIES:
+                for threads in (1, 4, None):
+                    doc = client.place("testbox", policy.value,
+                                       threads=threads, seed=1)
+                    expected = Placement(mctop, policy, threads)
+                    assert doc["index"] is True
+                    assert doc["ordering"] == list(expected.ordering)
+                    assert doc["stats"] == expected.print_stats()
 
-    def test_indexed_and_legacy_paths_agree(self, harness, daemon_factory):
-        legacy = daemon_factory(placement_index=False)
-        with harness.client() as a, legacy.client() as b:
-            for policy in ("RR_CORE", "CON_HWC", "BALANCE_HWC"):
-                fast = a.place("testbox", policy, threads=4, seed=1)
-                slow = b.place("testbox", policy, threads=4, seed=1)
-                assert fast["ordering"] == slow["ordering"]
-                assert fast["stats"] == slow["stats"]
+    def test_batch_matches_in_process_placement(self, harness):
+        queries = [{"policy": p.value, "threads": 3} for p in ALL_POLICIES]
+        with harness.client() as client:
+            mctop = served_topology(client)
+            doc = client.place_many("testbox", queries, seed=1)
+        for query, result in zip(queries, doc["results"]):
+            expected = Placement(mctop, query["policy"], 3)
+            assert result["ordering"] == list(expected.ordering)
+            assert result["stats"] == expected.print_stats()
 
 
 class TestPlaceMany:
@@ -130,10 +148,15 @@ class TestPlacementObservability:
         assert batch["count"] == 1
         assert batch["total"] == len(TestPlaceMany.QUERIES)
 
-    def test_misses_counted_without_index(self, daemon_factory):
-        harness = daemon_factory(placement_index=False)
+    def test_out_of_range_query_counts_one_miss(self, harness):
         with harness.client() as client:
             client.place("testbox", "RR_CORE", threads=4, seed=1)
-            registry = client.metrics()["registry"]
-        assert registry["service.place.index_misses"]["value"] >= 1
-        assert "service.place.index_hits" not in registry
+            before = client.metrics()["registry"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.place("testbox", "RR_CORE", threads=10_000, seed=1)
+            after = client.metrics()["registry"]
+        assert excinfo.value.code == "mctop_error"
+        assert "service.place.index_misses" not in before
+        assert after["service.place.index_misses"]["value"] == 1
+        hits = "service.place.index_hits"
+        assert after[hits]["value"] == before[hits]["value"]

@@ -10,6 +10,8 @@ and raw traces.
 from __future__ import annotations
 
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -208,6 +210,34 @@ class TestAccessLog:
         assert by_rid[rids["hit"]]["cache"] == "hit"
         assert by_rid[rids["bad"]]["verb"] == "frobnicate"
         assert by_rid[rids["bad"]]["outcome"] == "unknown_verb"
+
+    def test_client_that_hangs_up_is_counted_traced_and_logged(
+        self, daemon_factory, tmp_path
+    ):
+        """A client that closes its socket before its answer: the line
+        is written before the socket write, so requests counted,
+        access-log lines and trace-store finishes still agree."""
+        log_path = tmp_path / "access.ndjson"
+        harness = daemon_factory(access_log=str(log_path))
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(harness.config.unix_path)
+            sock.sendall(b'{"verb": "ping"}\n')
+            answer = b""
+            while not answer.endswith(b"\n"):
+                answer += sock.recv(65536)
+            sock.sendall(b'{"verb": "_sleep", "params": {"seconds": 0.2}}\n')
+        deadline = time.monotonic() + 5
+        while True:
+            lines = [json.loads(l) for l in log_path.read_text().splitlines()]
+            if len(lines) >= 2 or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
+        assert [line["verb"] for line in lines] == ["ping", "_sleep"]
+        registry = harness.daemon.obs.registry
+        counted = sum(registry.value(name) for name in registry.names()
+                      if name.startswith("service.requests."))
+        assert counted == len(lines) == \
+            registry.value("trace_store.retained")
 
     def test_rotation_keeps_bounded_generations(self, tmp_path):
         path = tmp_path / "a.log"
