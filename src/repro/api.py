@@ -113,7 +113,7 @@ def infer(
 def _resolve_mctop(mctop_or_name, seed: int, infer_kwargs: dict):
     """An ``Mctop`` from whatever the placement helpers were handed:
     a topology object (as-is), the path of a saved description file
-    (loaded, index sidecar attached), or a catalog machine name
+    (loaded), or a catalog machine name
     (inferred through :func:`infer`, measurement knobs forwarded)."""
     from pathlib import Path
 

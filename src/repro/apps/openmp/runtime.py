@@ -36,8 +36,7 @@ class OpenMpRuntime:
     def __init__(self, mctop: Mctop | None = None,
                  default_threads: int | None = None):
         self.mctop = mctop
-        self._pool = (PlacementPool(mctop, _warn=False)
-                      if mctop is not None else None)
+        self._pool = PlacementPool(mctop) if mctop is not None else None
         self._binding: Placement | None = None
         self.default_threads = default_threads or (
             mctop.n_contexts if mctop is not None else 4

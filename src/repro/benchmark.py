@@ -223,9 +223,6 @@ def run_fuzz_bench(
         "wall_seconds": round(wall, 3),
         "samples": samples,
         "samples_per_sec": round(samples / wall) if wall else 0,
-        # the fuzz loop has no scalar twin; pin the ratio so the record
-        # satisfies the common history schema without gating on it
-        "speedup_vs_scalar": 1.0,
         "machines_per_sec": doc["machines_per_sec"],
         "jobs": jobs,
     }

@@ -1511,8 +1511,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "history baseline; exit 1 on regression")
     p_loadgen.add_argument("--compare-metric", default="place_qps",
                            choices=("place_qps", "p99_ms",
-                                    "samples_per_sec", "wall_seconds",
-                                    "speedup_vs_scalar"),
+                                    "wall_seconds"),
                            help="metric the gate diffs (default "
                                 "place_qps)")
     p_loadgen.add_argument("--threshold", type=float, default=0.15,

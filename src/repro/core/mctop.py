@@ -91,8 +91,7 @@ class Mctop:
         # machines); the latency table rows follow sorted-id order.
         self._ctx_rows = {cid: i for i, cid in enumerate(sorted(contexts))}
         #: Lazy caches for the placement API: the ``placements`` pool
-        #: and the precomputed per-policy index (attached by
-        #: ``load_mctop`` when a sidecar exists, or built on demand).
+        #: and the precomputed per-policy index (built on first use).
         self._placements = None
         self._placement_index = None
         self._validate_linkage()
@@ -331,32 +330,23 @@ class Mctop:
     # --------------------------------------------------------- placement
     @property
     def placements(self):
-        """The topology's placement pool (lazily built, cached).
-
-        The supported way to get a
-        :class:`~repro.place.pool.PlacementPool` — constructing one
-        directly is deprecated in favor of this property, so every
-        consumer of the same topology shares one memoized pool.
+        """The topology's shared, unbounded placement pool (lazily
+        built, cached), so every consumer of the same topology shares
+        one memoized :class:`~repro.place.pool.PlacementPool`.
         """
         if self._placements is None:
             from repro.place.pool import PlacementPool
 
-            self._placements = PlacementPool(self, _warn=False)
+            self._placements = PlacementPool(self)
         return self._placements
 
-    def placement_index(self, build: bool = True):
-        """The precomputed per-policy placement index.
-
-        Built eagerly on first call (``build=True``) and cached on the
-        topology; with ``build=False`` returns whatever is attached
-        (``load_mctop`` attaches a persisted sidecar index) or ``None``.
-        """
-        if self._placement_index is None and build:
+    def placement_index(self):
+        """The precomputed per-policy placement index, built from this
+        topology on first call and cached on it."""
+        if self._placement_index is None:
             from repro.place.index import PlacementIndex
 
-            index = PlacementIndex(self)
-            index.build()
-            self._placement_index = index
+            self._placement_index = PlacementIndex(self).build()
         return self._placement_index
 
     # -------------------------------------------------------- validation

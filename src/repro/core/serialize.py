@@ -160,10 +160,7 @@ def load_mctop(path: str | Path) -> Mctop:
     """Load a topology from a description file.
 
     Compression is detected from the file's magic bytes (not its
-    name), so a renamed ``.mct.gz`` still loads.  A placement-index
-    sidecar (``x.pidx.gz`` next to ``x.mct.gz``) is attached when
-    present, so loaded topologies answer indexed ``place`` queries
-    without a rebuild; a stale or corrupt sidecar is simply ignored.
+    name), so a renamed ``.mct.gz`` still loads.
     """
     path = Path(path)
     try:
@@ -176,12 +173,4 @@ def load_mctop(path: str | Path) -> Mctop:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
     mctop = mctop_from_dict(data)
     mctop.provenance.inferred = False
-    from repro.place.index import load_placement_index, placement_index_path
-
-    sidecar = placement_index_path(path)
-    if sidecar.exists():
-        try:
-            mctop._placement_index = load_placement_index(sidecar, mctop)
-        except SerializationError:
-            pass
     return mctop

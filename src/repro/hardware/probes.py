@@ -235,20 +235,6 @@ class MeasurementContext:
         self.samples_taken += n
         return out
 
-    def sample_pairs_batch(
-        self, pairs: list[tuple[int, int]], n: int
-    ) -> np.ndarray:
-        """Batch :meth:`sample_pair_latencies` over a pair list.
-
-        Returns a ``(len(pairs), n)`` array; pairs are sampled in list
-        order on the shared sequential streams (so the result depends
-        on the order, exactly like individual calls would).
-        """
-        out = np.empty((len(pairs), n))
-        for i, (x, y) in enumerate(pairs):
-            out[i] = self.sample_pair_latencies(x, y, n)
-        return out
-
     def batch_spec(self) -> "PairProbeSpec":
         """Snapshot for the order-independent pair-seeded sampling scheme.
 
@@ -331,25 +317,6 @@ class MeasurementContext:
         )
         true = hierarchy.latency_for_working_set(working_set_bytes)
         return max(true + self.noise.sample() * 0.3, 0.5)
-
-
-def __getattr__(name: str):
-    # Deprecated re-export: MeasurementError historically lived with the
-    # measurement layer; it now sits in the repro.errors hierarchy under
-    # the single ReproError root.
-    if name == "MeasurementError":
-        import warnings
-
-        warnings.warn(
-            "importing MeasurementError from repro.hardware.probes is "
-            "deprecated; import it from repro.errors (or repro) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.errors import MeasurementError
-
-        return MeasurementError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ===================== pair-seeded sampling scheme =====================

@@ -4,8 +4,8 @@ Two pieces that make ``mctop bench`` a trend, not a single data point:
 
 * **history** — every bench run can append one JSONL record per
   ``(machine, mode)`` to ``BENCH_HISTORY.jsonl`` (timestamp, git sha,
-  wall time, throughput, speedup), so the cost of the measurement
-  engine is traceable commit over commit;
+  wall time and the metrics that mode measures), so the cost of the
+  measurement engine is traceable commit over commit;
 * **gate** — ``compare_bench`` diffs a current bench document against
   a baseline per ``(machine, mode)`` and flags any metric that moved
   past a threshold in the losing direction, which ``mctop bench
@@ -37,14 +37,11 @@ GATE_METRICS = {
     "p99_ms": True,
 }
 
-#: Per-mode stats carried into a history record when present (beyond
-#: the always-there bench triple) — the loadgen mode's throughput and
-#: latency percentiles ride the same history file as bench records.
+#: Per-mode stats carried into a history record besides the gate
+#: metrics, when the mode has them — the loadgen mode's latency
+#: percentiles and rates ride the same history file as bench records.
 OPTIONAL_STATS = (
-    "machines_per_sec",
-    "place_qps",
     "p50_ms",
-    "p99_ms",
     "p999_ms",
     "achieved_rate",
     "target_rate",
@@ -72,7 +69,11 @@ def git_sha(cwd: str | Path | None = None) -> str | None:
 def history_records(
     doc: dict, ts: float | None = None, sha: str | None = None
 ) -> list[dict[str, Any]]:
-    """Flatten one bench document into per-(machine, mode) records."""
+    """Flatten one bench document into per-(machine, mode) records.
+
+    Every record carries ``wall_seconds``; beyond it, only the
+    :data:`GATE_METRICS` and :data:`OPTIONAL_STATS` its mode measured.
+    """
     ts = time.time() if ts is None else ts
     records = []
     for entry in doc.get("machines", []):
@@ -83,14 +84,12 @@ def history_records(
                 "machine": entry["machine"],
                 "mode": mode,
                 "wall_seconds": stats["wall_seconds"],
-                "samples_per_sec": stats["samples_per_sec"],
-                "speedup_vs_scalar": stats["speedup_vs_scalar"],
                 "repetitions": entry.get("repetitions"),
                 "quick": doc.get("quick", False),
                 "seed": doc.get("seed"),
                 "jobs": stats.get("jobs"),
             }
-            for name in OPTIONAL_STATS:
+            for name in (*GATE_METRICS, *OPTIONAL_STATS):
                 if name in stats:
                     record[name] = stats[name]
             records.append(record)
@@ -189,8 +188,10 @@ def compare_bench(
     A pair regresses when the metric moved past ``threshold``
     (fractionally) in its losing direction — below the baseline for
     higher-is-better metrics, above it for ``wall_seconds``.  Pairs
-    present on only one side are reported in ``missing`` but never
-    fail the gate (machine catalogs legitimately grow).
+    present on only one side, or lacking the metric on either side
+    (each mode reports only the metrics it measures), are reported in
+    ``missing`` but never fail the gate (machine catalogs legitimately
+    grow).
     """
     if metric not in GATE_METRICS:
         raise ValueError(
@@ -201,8 +202,13 @@ def compare_bench(
         raise ValueError("threshold must be in [0, 1)")
     smaller_wins = GATE_METRICS[metric]
     current_flat = _flatten(current)
+    shared = set(current_flat) & set(baseline)
+    measured = {
+        key for key in shared
+        if metric in current_flat[key] and metric in baseline[key]
+    }
     rows = []
-    for key in sorted(set(current_flat) & set(baseline)):
+    for key in sorted(measured):
         base_value = float(baseline[key][metric])
         cur_value = float(current_flat[key][metric])
         if base_value == 0:
@@ -222,6 +228,7 @@ def compare_bench(
         })
     missing = sorted(
         set(current_flat).symmetric_difference(baseline)
+        | (shared - measured)
     )
     regressions = [r for r in rows if r["regressed"]]
     return {
@@ -251,7 +258,7 @@ def render_verdict_table(comparison: dict) -> str:
         )
     for machine, mode in comparison["missing"]:
         lines.append(f"{machine:<12}{mode:<10}{'-':>12}{'-':>12}"
-                     f"{'-':>9}  (one side only)")
+                     f"{'-':>9}  (not on both sides)")
     n_reg = len(comparison["regressions"])
     if comparison["ok"]:
         lines.append(
@@ -259,8 +266,8 @@ def render_verdict_table(comparison: dict) -> str:
             f"across {len(comparison['rows'])} (machine, mode) pairs"
         )
     elif not comparison["rows"]:
-        lines.append("gate: FAILED — baseline and current share no "
-                     "(machine, mode) pairs")
+        lines.append(f"gate: FAILED — baseline and current share no "
+                     f"(machine, mode) pairs with {metric}")
     else:
         lines.append(
             f"gate: FAILED — {n_reg} of {len(comparison['rows'])} "

@@ -1,13 +1,6 @@
 """MCTOP-PLACE: portable thread placement (Section 6 of the paper)."""
 
-from repro.place.index import (
-    GridBounds,
-    PlacementIndex,
-    PlacementResult,
-    load_placement_index,
-    placement_index_path,
-    save_placement_index,
-)
+from repro.place.index import GridBounds, PlacementIndex, PlacementResult
 from repro.place.placement import PinnedThread, Placement, render_stats
 from repro.place.policies import ALL_POLICIES, Policy, compute_order, socket_chain
 from repro.place.pool import PlacementPool
@@ -22,9 +15,6 @@ __all__ = [
     "PlacementResult",
     "Policy",
     "compute_order",
-    "load_placement_index",
-    "placement_index_path",
     "render_stats",
-    "save_placement_index",
     "socket_chain",
 ]

@@ -23,23 +23,21 @@ Two structural facts keep the build fast and the index small:
   `_balanced_counts` slicing of per-socket suborders that are computed
   once per socket.
 
-The index persists to a ``.pidx.gz`` sidecar next to the ``.mct.gz``
-description (gzip, ``mtime=0``), so daemon warm restarts skip the
-rebuild: ``load_mctop`` auto-attaches the sidecar when present.
+The index is never persisted: :meth:`PlacementIndex.build`, run by the
+current code against the topology, is the only way one comes into
+existence, so a change to a policy can never be masked by a stale
+precomputed answer.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import PlacementError, SerializationError
+from repro.errors import PlacementError
 from repro.core.mctop import Mctop
 from repro.place.placement import Placement, render_stats
 from repro.place.policies import (
@@ -52,9 +50,6 @@ from repro.place.policies import (
     _socket_hwc_order,
     socket_chain,
 )
-
-INDEX_FORMAT = "mctop-placement-index"
-INDEX_VERSION = 1
 
 #: Policies whose ordering changes with ``n_threads`` (the balance is
 #: against the thread count); everything else is prefix-sliceable.
@@ -369,137 +364,3 @@ class PlacementIndex:
             },
         }
 
-
-# -------------------------------------------------------------- sidecar
-def placement_index_path(mct_path: str | Path) -> Path:
-    """The index sidecar path for a description file
-    (``x.mct.gz`` -> ``x.pidx.gz``)."""
-    path = Path(mct_path)
-    name = path.name
-    if name.endswith(".mct.gz"):
-        return path.with_name(name[: -len(".mct.gz")] + ".pidx.gz")
-    if name.endswith(".mct"):
-        return path.with_name(name[: -len(".mct")] + ".pidx")
-    return path.with_name(name + ".pidx.gz")
-
-
-def index_to_dict(index: PlacementIndex) -> dict:
-    """Serialize an index to plain JSON-compatible data."""
-    return {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "machine": index.mctop.name,
-        "chain": list(index._chain),
-        "bounds": {
-            "max_threads": index.bounds.max_threads,
-            "max_sockets": index.bounds.max_sockets,
-        },
-        "build_seconds": index.build_seconds,
-        "unavailable": dict(index._unavailable),
-        "full": [
-            {"policy": p, "sockets": ns, "ordering": list(order)}
-            for (p, ns), order in sorted(index._full.items())
-        ],
-        "entries": [
-            {
-                "policy": p,
-                "threads": nt,
-                "sockets": ns,
-                "ordering": None if o is None else list(o),
-                "stats": stats,
-                "max_latency": max_lat,
-            }
-            for (p, nt, ns), (o, stats, max_lat)
-            in sorted(index._entries.items())
-        ],
-    }
-
-
-def index_from_dict(data: dict, mctop: Mctop) -> PlacementIndex:
-    """Rebuild a prebuilt index from serialized data.
-
-    The document must name the same machine and agree on the socket
-    chain — a stale sidecar against a drifted topology is rejected
-    rather than silently serving wrong orderings.
-    """
-    try:
-        if data.get("format") != INDEX_FORMAT:
-            raise SerializationError("not a placement-index document")
-        if data.get("version", 0) > INDEX_VERSION:
-            raise SerializationError(
-                f"index version {data['version']} is newer than this "
-                f"library supports ({INDEX_VERSION})"
-            )
-        if data.get("machine") != mctop.name:
-            raise SerializationError(
-                f"index is for machine {data.get('machine')!r}, "
-                f"not {mctop.name!r}"
-            )
-        bounds_doc = data.get("bounds") or {}
-        index = PlacementIndex(
-            mctop,
-            GridBounds(
-                max_threads=bounds_doc.get("max_threads"),
-                max_sockets=bounds_doc.get("max_sockets"),
-            ),
-        )
-        if list(data.get("chain", [])) != list(index._chain):
-            raise SerializationError(
-                "index socket chain does not match the topology"
-            )
-        for item in data["full"]:
-            index._full[(item["policy"], int(item["sockets"]))] = [
-                int(c) for c in item["ordering"]
-            ]
-        for item in data["entries"]:
-            ordering = item["ordering"]
-            index._entries[
-                (item["policy"], int(item["threads"]), int(item["sockets"]))
-            ] = (
-                None if ordering is None else tuple(int(c) for c in ordering),
-                item["stats"],
-                int(item["max_latency"]),
-            )
-        index._unavailable.update(data.get("unavailable", {}))
-        index.prebuilt = True
-        index.build_seconds = data.get("build_seconds")
-        return index
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(
-            f"malformed placement index: {exc}"
-        ) from exc
-
-
-#: The two magic bytes every gzip stream starts with.
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
-def save_placement_index(index: PlacementIndex,
-                         path: str | Path) -> Path:
-    """Write an index sidecar; ``.gz`` names gzip with ``mtime=0`` so
-    identical indices are byte-identical files."""
-    path = Path(path)
-    payload = json.dumps(index_to_dict(index)).encode("utf-8")
-    if ".gz" in path.suffixes:
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, filename="", mode="wb",
-                               mtime=0) as fh:
-                fh.write(payload)
-    else:
-        path.write_bytes(payload)
-    return path
-
-
-def load_placement_index(path: str | Path, mctop: Mctop) -> PlacementIndex:
-    """Load a sidecar index for a topology (compression sniffed from
-    the magic bytes, like ``load_mctop``)."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-        if raw[:2] == _GZIP_MAGIC:
-            raw = gzip.decompress(raw)
-        data = json.loads(raw.decode("utf-8"))
-    except (OSError, gzip.BadGzipFile, EOFError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
-        raise SerializationError(f"cannot read {path}: {exc}") from exc
-    return index_from_dict(data, mctop)

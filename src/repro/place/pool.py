@@ -13,7 +13,6 @@ evicted, except the active one, which is never dropped.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 
 from repro.errors import PlacementError
@@ -25,15 +24,7 @@ from repro.place.policies import Policy
 class PlacementPool:
     """A pool of placements over one topology."""
 
-    def __init__(self, mctop: Mctop, max_entries: int | None = None,
-                 *, _warn: bool = True):
-        if _warn:
-            warnings.warn(
-                "constructing PlacementPool directly is deprecated; use "
-                "the Mctop.placements property instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, mctop: Mctop, max_entries: int | None = None):
         if max_entries is not None and max_entries < 1:
             raise PlacementError("max_entries must be >= 1 (or None)")
         self.mctop = mctop

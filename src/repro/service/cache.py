@@ -129,45 +129,20 @@ class InferenceCache:
             self.obs.counter("service.cache.disk_writes").inc()
 
     def ensure_index(self, key: str, mctop: Mctop) -> "PlacementIndex":
-        """The topology's placement index, building (and persisting a
-        ``<digest>.pidx.gz`` sidecar) on first need.
+        """The topology's placement index, built from it on first need
+        (timed and counted; the index is never written to the store).
 
         Blocking — run it in a worker thread from the daemon.  The
-        fast path (index already attached, e.g. by ``load_mctop`` from
-        a warm store) is one attribute check.  Idempotent: re-putting
-        the same digest (the drift watcher refreshing a baseline, a
-        peer blob landing twice) never rebuilds.
+        fast path (index already built) is one attribute check.
+        Idempotent: re-putting the same digest (the drift watcher
+        refreshing a baseline, a peer blob landing twice) never
+        rebuilds.
         """
-        from repro.place.index import (
-            PlacementIndex,
-            load_placement_index,
-            placement_index_path,
-            save_placement_index,
-        )
-
         index = mctop._placement_index
-        if index is not None and index.prebuilt:
-            return index
-        path = self._disk_path(key)
-        sidecar = placement_index_path(path) if path is not None else None
-        if sidecar is not None and sidecar.is_file():
-            try:
-                index = load_placement_index(sidecar, mctop)
-            except SerializationError:
-                self.obs.counter("service.place.index_corrupt").inc()
-            else:
-                mctop._placement_index = index
-                self.obs.counter("service.place.index_loads").inc()
-                return index
-        with self.obs.timer("service.place.index_build_seconds").time():
-            index = PlacementIndex(mctop).build()
-        mctop._placement_index = index
-        self.obs.counter("service.place.index_builds").inc()
-        if sidecar is not None:
-            sidecar.parent.mkdir(parents=True, exist_ok=True)
-            tmp = sidecar.with_name(sidecar.name + ".tmp.gz")
-            save_placement_index(index, tmp)
-            tmp.replace(sidecar)
+        if index is None:
+            with self.obs.timer("service.place.index_build_seconds").time():
+                index = mctop.placement_index()
+            self.obs.counter("service.place.index_builds").inc()
         return index
 
     def _insert_memory(self, key: str, mctop: Mctop) -> None:

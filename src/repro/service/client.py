@@ -1,23 +1,16 @@
 """Synchronous client for ``mctopd``.
 
-A blocking wrapper over one *or a pool of* socket connections: the
-CLI's ``mctop query``, the load generator, tests and any embedding
+A blocking wrapper over a pool of socket connections: the CLI's
+``mctop query``, the load generator, tests and any embedding
 application use it instead of hand-rolling the NDJSON framing.
 
-Two modes:
-
-* **single-socket** (``pool_size=1``, the default) — the original
-  behavior: one connection, one server-side session.  Kept as a
-  compatibility path; new code that issues many placement queries
-  should prefer the pooled mode below (this path is deprecated for
-  hot-path use, not removed — see ``docs/PLACEMENT.md``).
-* **pooled** (``pool_size=N``) — N connections opened lazily and used
-  round-robin for stateless verbs, plus request *pipelining* via
-  :meth:`request_many` (a sliding window of in-flight frames per
-  connection; ``mctopd`` answers each connection's requests in order,
-  so responses match up positionally).  Session-stateful verbs
-  (``pool_switch``) are pinned to connection 0 so the server-side
-  placement pool they mutate is always the same session.
+``pool_size`` connections (default 1) are opened lazily and used
+round-robin for stateless verbs, plus request *pipelining* via
+:meth:`request_many` (a sliding window of in-flight frames per
+connection; ``mctopd`` answers each connection's requests in order, so
+responses match up positionally).  Session-stateful verbs
+(``pool_switch``) are pinned to connection 0 so the server-side
+placement pool they mutate is always the same session.
 
 ::
 
@@ -195,18 +188,6 @@ class MctopClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def _sock(self):
-        """Connection 0's raw socket (compat with the pre-pool client)."""
-        conn = self._conns[0]
-        return conn.sock if conn is not None else None
-
-    @property
-    def _file(self):
-        """Connection 0's buffered reader (compat, see ``_sock``)."""
-        conn = self._conns[0]
-        return conn.file if conn is not None else None
 
     # ------------------------------------------------------------- request
     def request(self, verb: str, /, **params) -> dict:

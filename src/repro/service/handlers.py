@@ -166,8 +166,7 @@ class Session:
     def pool_for(self, key: str, mctop: Mctop) -> PlacementPool:
         pool = self._pools.get(key)
         if pool is None:
-            pool = PlacementPool(mctop, max_entries=self.max_pool_entries,
-                                 _warn=False)
+            pool = PlacementPool(mctop, max_entries=self.max_pool_entries)
             self._pools[key] = pool
         return pool
 
@@ -354,8 +353,7 @@ class Handlers:
         """Cache-insert-time placement-index build (worker thread).
 
         Makes every subsequent ``place`` on this topology a dictionary
-        lookup; the index persists next to the ``.mct.gz`` blob so warm
-        restarts skip the rebuild.
+        lookup.
         """
         request_id = current_request_id.get()
         with self.obs.span("service.place_index_build", key=key[:12],
@@ -364,10 +362,10 @@ class Handlers:
 
     async def _index(self, key: str, mctop: Mctop):
         """The topology's placement index, building under single-flight
-        if a cache path skipped the insert-time precompute (a memory
-        hit from the drift watcher's put, a pre-index store)."""
+        if a cache path skipped the insert-time precompute (a store hit,
+        a memory hit from the drift watcher's put)."""
         index = mctop._placement_index
-        if index is not None and index.prebuilt:
+        if index is not None:
             return index
 
         async def build():

@@ -314,12 +314,9 @@ def run_loadgen(config: LoadgenConfig, make_client,
 def loadgen_bench_doc(doc: dict) -> dict:
     """A loadgen result as a bench document, so the run rides the same
     ``BENCH_HISTORY.jsonl`` / ``--compare`` machinery as ``mctop
-    bench``.  ``speedup_vs_scalar`` is pinned to 1.0 (the mode has no
-    scalar twin) exactly as the fuzz bench mode does."""
+    bench``, with only the metrics the mode measures."""
     stats = {
         "wall_seconds": doc["wall_seconds"],
-        "samples_per_sec": doc["place_qps"],
-        "speedup_vs_scalar": 1.0,
         "place_qps": doc["place_qps"],
         "p50_ms": doc["p50_ms"],
         "p99_ms": doc["p99_ms"],

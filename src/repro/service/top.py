@@ -196,7 +196,7 @@ def render_place_lines(registry: dict, prev_registry: dict | None,
                        dt: float | None) -> list[str]:
     """The dashboard's placement-index section.
 
-    Index hit ratio, lookup rate, builds/loads and the ``place_many``
+    Index hit ratio, lookup rate, builds and the ``place_many``
     batch-size spread — from the ``service.place.*`` instruments;
     empty on a daemon that has served no placement traffic (or
     predates the index), so the section simply disappears.
@@ -204,8 +204,7 @@ def render_place_lines(registry: dict, prev_registry: dict | None,
     hits = _counter(registry, "service.place.index_hits")
     misses = _counter(registry, "service.place.index_misses")
     builds = _counter(registry, "service.place.index_builds")
-    loads = _counter(registry, "service.place.index_loads")
-    if not (hits or misses or builds or loads):
+    if not (hits or misses or builds):
         return []
     ratio = f"{hits / (hits + misses):.0%}" if hits + misses else "-"
     prev_hits = (
@@ -216,7 +215,7 @@ def render_place_lines(registry: dict, prev_registry: dict | None,
         f"place   index hit ratio {ratio} "
         f"({int(hits)} hit / {int(misses)} miss)"
         f"  lookups/s {_rate(hits + misses, prev_hits, dt)}"
-        f"  builds {int(builds)}  loads {int(loads)}"
+        f"  builds {int(builds)}"
     ]
     batch = registry.get("service.place.batch_size")
     if batch and batch.get("count"):

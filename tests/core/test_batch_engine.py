@@ -64,13 +64,6 @@ def test_probe_batch_equals_scalar_samples():
     assert a.samples_taken == b.samples_taken
 
 
-def test_sample_pairs_batch_shape():
-    probe = MeasurementContext(get_machine("testbox"), seed=2)
-    out = probe.sample_pairs_batch([(0, 1), (1, 2), (0, 3)], 16)
-    assert out.shape == (3, 16)
-    assert probe.samples_taken == 48
-
-
 # ------------------------------------------------- pair-seeded scheme
 
 

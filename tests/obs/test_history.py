@@ -164,6 +164,20 @@ class TestCompareBench:
         assert not comparison["ok"]
         assert comparison["rows"] == []
 
+    def test_pair_lacking_the_metric_is_missing(self, tmp_path):
+        # A mode records only the metrics it measures; gating on one it
+        # lacks lists the pair instead of raising, and the rest gate.
+        baseline = _as_baseline(bench_doc(), tmp_path)
+        current = bench_doc()
+        del current["machines"][0]["modes"]["jobs"]["speedup_vs_scalar"]
+        comparison = compare_bench(current, baseline)
+        assert comparison["missing"] == [["testbox", "jobs"]]
+        assert [r["mode"] for r in comparison["rows"]] == ["batched",
+                                                           "scalar"]
+        assert comparison["ok"]
+        jobs = [r for r in history_records(current) if r["mode"] == "jobs"]
+        assert "speedup_vs_scalar" not in jobs[0]
+
     def test_unknown_metric_rejected(self, tmp_path):
         baseline = _as_baseline(bench_doc(), tmp_path)
         with pytest.raises(ValueError, match="unknown gate metric"):

@@ -1,11 +1,11 @@
-"""PlacementIndex: byte-identity with the legacy path, persistence.
+"""PlacementIndex: byte-identity with the legacy path.
 
 The tentpole contract of the precomputed index is pinned here: for
 every golden machine and every Table-2 policy, the indexed answer —
 ordering, Figure-7 stats text *and* max latency — is byte-identical to
 what a freshly constructed :class:`Placement` computes, across a
-sampled ``n_threads`` × ``n_sockets`` grid.  The sidecar round-trip,
-stale-sidecar rejection and the facade helpers ride along.
+sampled ``n_threads`` × ``n_sockets`` grid.  The facade helpers ride
+along.
 """
 
 from __future__ import annotations
@@ -16,21 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.serialize import load_mctop, mctop_from_dict, save_mctop
-from repro.errors import PlacementError, SerializationError
+from repro.core.serialize import mctop_from_dict, save_mctop
+from repro.errors import PlacementError
 from repro.place import (
     ALL_POLICIES,
     GridBounds,
     Placement,
     PlacementIndex,
     Policy,
-)
-from repro.place.index import (
-    index_from_dict,
-    index_to_dict,
-    load_placement_index,
-    placement_index_path,
-    save_placement_index,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
@@ -148,79 +141,12 @@ class TestLookupSemantics:
         assert placement.max_latency() == index.get("RR_CORE", 4).max_latency
 
 
-class TestPersistence:
-    def test_dict_roundtrip(self, indexed):
-        mctop, index = indexed("testbox")
-        clone = index_from_dict(index_to_dict(index), mctop)
-        assert clone.prebuilt
-        assert clone.n_entries == index.n_entries
-        for policy in ALL_POLICIES:
-            a = index.lookup(policy, 4)
-            b = clone.lookup(policy, 4)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a == b
-
-    def test_sidecar_roundtrip_and_determinism(self, indexed, tmp_path):
-        mctop, index = indexed("testbox")
-        a = save_placement_index(index, tmp_path / "a.pidx.gz")
-        b = save_placement_index(index, tmp_path / "b.pidx.gz")
-        assert a.read_bytes() == b.read_bytes()  # mtime=0 gzip
-        loaded = load_placement_index(a, mctop)
-        assert loaded.prebuilt
-        assert loaded.lookup("RR_CORE", 4) == index.lookup("RR_CORE", 4)
-
-    def test_sidecar_rejects_wrong_machine(self, indexed, tmp_path):
-        _, index = indexed("testbox")
-        other = golden_mctop("unisock")
-        path = save_placement_index(index, tmp_path / "x.pidx.gz")
-        with pytest.raises(SerializationError, match="machine"):
-            load_placement_index(path, other)
-
-    def test_sidecar_rejects_newer_version(self, indexed, tmp_path):
-        mctop, index = indexed("testbox")
-        doc = index_to_dict(index)
-        doc["version"] = 999
-        with pytest.raises(SerializationError, match="newer"):
-            index_from_dict(doc, mctop)
-
-    def test_sidecar_path_shapes(self):
-        assert placement_index_path("a/x.mct.gz").name == "x.pidx.gz"
-        assert placement_index_path("a/x.mct").name == "x.pidx"
-
-    def test_load_mctop_auto_attaches_sidecar(self, indexed, tmp_path):
-        mctop, index = indexed("testbox")
-        mct = tmp_path / "tb.mct.gz"
-        save_mctop(mctop, mct)
-        save_placement_index(index, placement_index_path(mct))
-        loaded = load_mctop(mct)
-        attached = loaded._placement_index
-        assert attached is not None and attached.prebuilt
-        assert loaded.placement_index() is attached  # no rebuild
-        assert attached.lookup("RR_CORE", 4).ordering \
-            == index.lookup("RR_CORE", 4).ordering
-
-    def test_corrupt_sidecar_is_ignored(self, indexed, tmp_path):
-        mctop, _ = indexed("testbox")
-        mct = tmp_path / "tb.mct.gz"
-        save_mctop(mctop, mct)
-        placement_index_path(mct).write_bytes(b"\x1f\x8bnot really gzip")
-        loaded = load_mctop(mct)  # must not raise
-        assert loaded._placement_index is None
-
-
 class TestMctopIntegration:
     def test_placement_index_is_cached_on_the_mctop(self):
         mctop = golden_mctop("testbox")
         index = mctop.placement_index()
         assert index.prebuilt
         assert mctop.placement_index() is index
-
-    def test_placement_index_no_build(self):
-        mctop = golden_mctop("testbox")
-        assert mctop.placement_index(build=False) is None  # nothing yet
-        index = mctop.placement_index()                    # builds
-        assert mctop.placement_index(build=False) is index
 
 
 class TestFacade:

@@ -1,8 +1,6 @@
 """PlacementPool bounds: LRU eviction, clear(), len(), pinned entries.
 
-Direct ``PlacementPool(...)`` construction is deprecated (these tests
-exercise the class itself, so the module-wide filter silences it); the
-deprecation contract and the ``Mctop.placements`` alias are pinned in
+The ``Mctop.placements`` shared pool is pinned in
 :class:`TestDeprecationAndAlias`.
 """
 
@@ -20,9 +18,6 @@ from repro.core.algorithm import (
 from repro.errors import PlacementError
 from repro.hardware import get_machine
 from repro.place import PlacementPool, Policy
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(scope="module")
 def tb_mctop():
@@ -137,10 +132,6 @@ class TestPinnedEntries:
 
 
 class TestDeprecationAndAlias:
-    def test_direct_construction_warns(self, tb_mctop):
-        with pytest.warns(DeprecationWarning, match="placements"):
-            PlacementPool(tb_mctop)
-
     def test_mctop_placements_property_does_not_warn(self, tb_mctop):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -54,12 +54,13 @@ class TestPool:
             pooled_client(harness, 0)
 
     def test_compat_shim_exposes_connection_zero(self, harness):
+        """Connection 0 opens lazily, and close() drops it."""
         client = harness.client()
-        assert client._sock is None and client._file is None
+        assert client._conns[0] is None
         with client:
-            assert client._sock is not None
-            assert client._file is not None
-        assert client._sock is None  # close() drops the pool
+            assert client._conns[0].sock is not None
+            assert client._conns[0].file is not None
+        assert client._conns[0].sock is None  # close() drops the pool
 
 
 class TestRequestMany:

@@ -104,9 +104,9 @@ class TestErrors:
 
     def test_malformed_frame_keeps_connection_alive(self, harness):
         with harness.client() as client:
-            client.connect()
-            client._sock.sendall(b"this is not json\n")
-            line = client._file.readline()
+            conn = client._conn(0)
+            conn.sock.sendall(b"this is not json\n")
+            line = conn.file.readline()
             assert b'"bad_request"' in line
             # The connection survives a bad frame.
             assert client.ping()["pong"] is True

@@ -145,7 +145,7 @@ class TestBenchBridge:
         stats = bench["machines"][0]["modes"]["loadgen"]
         assert stats["place_qps"] == 147925.0
         assert stats["p99_ms"] == 37.5
-        assert stats["speedup_vs_scalar"] == 1.0
+        assert "speedup_vs_scalar" not in stats
 
     def test_history_records_carry_loadgen_stats(self):
         records = history_records(loadgen_bench_doc(self.DOC), ts=0.0)

@@ -9,11 +9,13 @@ the equivalent single calls, and the placement counters/histogram feed
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.serialize import mctop_from_dict
 from repro.errors import ServiceError
-from repro.place import Placement
+from repro.place import Placement, policies
 from repro.place.policies import ALL_POLICIES
 
 
@@ -135,6 +137,50 @@ class TestPlaceMany:
         gained = (after["registry"][hits]["value"]
                   - before["registry"][hits]["value"])
         assert gained >= len(self.QUERIES)
+
+
+class TestWarmRestart:
+    """A daemon restarted on a warm store builds each index from the
+    stored topology with the code it runs; no index is ever stored."""
+
+    QUERIES = [
+        {"policy": p.value, **({} if t is None else {"threads": t})}
+        for p in ALL_POLICIES for t in (1, 3, None)
+    ]
+
+    def test_restart_answers_byte_identically(self, daemon_factory,
+                                              tmp_path):
+        first = daemon_factory()
+        with first.client() as client:
+            before = client.place_many("testbox", self.QUERIES, seed=1)
+        first.stop()
+        second = daemon_factory()
+        with second.client() as client:
+            after = client.place_many("testbox", self.QUERIES, seed=1)
+            registry = client.metrics()["registry"]
+        assert json.dumps(after["results"]) == json.dumps(before["results"])
+        assert registry["service.cache.hits.disk"]["value"] == 1
+        assert registry["service.place.index_builds"]["value"] == 1
+        assert not list((tmp_path / "store").glob("*.pidx*"))
+
+    def test_restart_serves_the_running_code(self, daemon_factory,
+                                             monkeypatch):
+        first = daemon_factory()
+        with first.client() as client:
+            before = client.place("testbox", "CON_HWC", threads=4, seed=1)
+            mctop = served_topology(client)
+        first.stop()
+        # A changed CON_HWC: each socket's contexts in reverse.
+        original = policies._socket_hwc_order
+        monkeypatch.setattr(policies, "_socket_hwc_order",
+                            lambda m, s: original(m, s)[::-1])
+        second = daemon_factory()
+        with second.client() as client:
+            doc = client.place("testbox", "CON_HWC", threads=4, seed=1)
+        expected = Placement(mctop, "CON_HWC", 4)
+        assert doc["ordering"] != before["ordering"]
+        assert doc["ordering"] == list(expected.ordering)
+        assert doc["stats"] == expected.print_stats()
 
 
 class TestPlacementObservability:

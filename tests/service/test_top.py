@@ -101,12 +101,11 @@ class TestDriftSection:
         assert "drift   worst warn" in text
 
 
-def _place_registry(hits=8, misses=2, builds=1, loads=0, batches=None):
+def _place_registry(hits=8, misses=2, builds=1, batches=None):
     registry = {
         "service.place.index_hits": {"kind": "counter", "value": hits},
         "service.place.index_misses": {"kind": "counter", "value": misses},
         "service.place.index_builds": {"kind": "counter", "value": builds},
-        "service.place.index_loads": {"kind": "counter", "value": loads},
     }
     if batches is not None:
         registry["service.place.batch_size"] = {
@@ -128,7 +127,6 @@ class TestPlaceSection:
         assert "place   index hit ratio 80%" in lines[0]
         assert "(8 hit / 2 miss)" in lines[0]
         assert "builds 1" in lines[0]
-        assert "loads 0" in lines[0]
 
     def test_batch_histogram_line(self):
         lines = render_place_lines(

@@ -1,12 +1,9 @@
 """The public API façade: ``from repro import ...``.
 
 The package root is the supported import surface.  These tests pin the
-exported names, the ``infer`` convenience entry point, the error
-hierarchy's single root and the deprecation alias for the old
-``MeasurementError`` location.
+exported names, the ``infer`` convenience entry point and the error
+hierarchy's single root.
 """
-
-import warnings
 
 import pytest
 
@@ -102,18 +99,6 @@ def test_error_hierarchy_single_root():
     for exc_type in (MctopError, MeasurementError, ClusteringError,
                      ServiceError, ProtocolError, ConfigError):
         assert issubclass(exc_type, ReproError), exc_type
-
-
-def test_measurement_error_deprecation_alias():
-    import repro.hardware.probes as probes
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alias = probes.MeasurementError
-    from repro.errors import MeasurementError
-
-    assert alias is MeasurementError
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 def test_probes_unknown_attribute_still_raises():
