@@ -131,17 +131,16 @@ class LatencyTableConfig:
     # ------------------------------------------------------- dict round-trip
     def to_dict(self) -> dict[str, Any]:
         """All knobs as a plain JSON-compatible dict."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "LatencyTableConfig":
         """Inverse of :meth:`to_dict`; unknown keys are a :class:`ConfigError`."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(data.keys() - _FIELD_SET)
         if unknown:
             raise ConfigError(
                 f"unknown LatencyTableConfig key(s): {', '.join(unknown)}; "
-                f"known keys: {', '.join(sorted(known))}"
+                f"known keys: {', '.join(sorted(_FIELD_SET))}"
             )
         return cls(**data)
 
@@ -153,11 +152,20 @@ class LatencyTableConfig:
         in the same order) share one cache entry, while ``sequential``
         vs ``pair`` (genuinely different tables) do not.
         """
-        doc = self.to_dict()
-        for key in _EXECUTION_ONLY_FIELDS:
-            del doc[key]
+        doc = {name: getattr(self, name) for name in _KEY_FIELD_NAMES}
         doc["sampling"] = self.effective_sampling()
         return doc
+
+
+#: :class:`LatencyTableConfig`'s field names in declaration order, as a
+#: set, and without the execution-only knobs, worked out once: the
+#: service converts and digests a config on every frame, and
+#: ``dataclasses.fields`` is not free.
+_FIELD_NAMES = tuple(f.name for f in fields(LatencyTableConfig))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_KEY_FIELD_NAMES = tuple(
+    name for name in _FIELD_NAMES if name not in _EXECUTION_ONLY_FIELDS
+)
 
 
 @dataclass

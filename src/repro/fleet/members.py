@@ -180,7 +180,8 @@ class MemberConnection:
             opener = asyncio.open_connection(
                 spec.host, spec.port, limit=MAX_LINE_BYTES
             )
-        self._reader, self._writer = await asyncio.wait_for(opener, timeout)
+        async with asyncio.timeout(timeout):
+            self._reader, self._writer = await opener
 
     async def request(self, verb: str, params: dict, timeout: float,
                       parent_request_id: str | None = None) -> dict:
@@ -193,8 +194,12 @@ class MemberConnection:
         if parent_request_id is not None:
             frame_doc["parent_request_id"] = parent_request_id
         self._writer.write(encode_frame(frame_doc))
-        await asyncio.wait_for(self._writer.drain(), timeout)
-        line = await asyncio.wait_for(self._reader.readline(), timeout)
+        # Each await under its own bound, on this task: no Task per
+        # forwarded frame.
+        async with asyncio.timeout(timeout):
+            await self._writer.drain()
+        async with asyncio.timeout(timeout):
+            line = await self._reader.readline()
         if not line:
             raise ConnectionResetError(
                 f"member {self.spec.id} closed the connection"

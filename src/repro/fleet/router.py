@@ -77,9 +77,9 @@ DIGEST_VERBS = ("infer", "show", "place", "place_many", "pool_switch",
 AGGREGATE_VERBS = ("metrics", "drift", "slo", "profile")
 
 #: Transport failures that trigger failover to the next ring candidate.
-#: (``TimeoutError`` is an ``OSError`` subclass since 3.10, listed for
-#: clarity; ``asyncio.TimeoutError`` aliases it since 3.11.)
-TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, ConnectionError)
+#: (``TimeoutError``, what an expired ``asyncio.timeout`` raises, is an
+#: ``OSError`` subclass; it is listed for clarity.)
+TRANSPORT_ERRORS = (OSError, TimeoutError, ConnectionError)
 
 
 @dataclass(frozen=True)

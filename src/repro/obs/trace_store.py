@@ -35,6 +35,7 @@ monotonic and unrelated, so alignment is anchor-based, not absolute.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import OrderedDict
 
@@ -61,10 +62,27 @@ class TraceStore:
 
     Spans accumulate in an *open* table keyed by their ``request_id``
     argument until :meth:`finish` seals the request with its verb,
-    outcome and duration; sealed records live in an insertion-ordered
-    table that :meth:`_prune` keeps under budget.  ``parent_request_id``
-    (a router's id on a forwarded request) is kept as an alias key so a
-    fleet-wide id resolves on the member that served it.
+    outcome and duration.  ``parent_request_id`` (a router's id on a
+    forwarded request) is kept as an alias key so a fleet-wide id
+    resolves on the member that served it.
+
+    Sealed records live in two insertion-ordered tables, one for pinned
+    records and one for the rest, so every retention step is O(1): a
+    budget eviction takes the front of the unpinned table, or the front
+    of the pinned table when no unpinned record is left, and the TTL
+    expires records from the front of both.  A healthy daemon pins a
+    sample every ``sample_every`` finishes, and the TTL expires pins
+    too, so its store fills with pins only while frames arrive faster
+    than ``max_traces × sample_every / ttl_seconds`` per second (about
+    55 with the defaults; error and SLO pins lower that rate).  In that
+    state, and only in it, each new unpinned record is the eviction
+    victim the moment it arrives.  Such a record is counted
+    (``retained``, ``evicted``) but never built: ``observe`` keeps the
+    raw :class:`~repro.obs.tracer.Span` /
+    :class:`~repro.obs.tracer.Instant` objects, and :meth:`finish`
+    converts and sizes only the records it keeps.  Below that rate
+    every unpinned record is kept, so built and sized, and the two
+    tables save only the walk past older pins.
 
     All methods are synchronous and allocation-light; ``observe`` runs
     on the hot path of every span exit, so it does one dict lookup and
@@ -95,10 +113,12 @@ class TraceStore:
         self.sample_every = sample_every
         self.max_open = max_open
         self._clock = clock
-        #: request_id -> {"spans": [...], "instants": [...]} (unsealed)
-        self._open: dict[str, dict] = {}
-        #: request_id -> {"doc", "size", "ts", "parent"} (sealed, FIFO)
-        self._records: "OrderedDict[str, dict]" = OrderedDict()
+        #: request_id -> ([Span, ...], [Instant, ...]) (unsealed, raw)
+        self._open: dict[str, tuple[list, list]] = {}
+        #: request_id -> {"doc", "size", "ts", "parent"} (sealed, FIFO),
+        #: pinned records apart from the unpinned ones evicted first.
+        self._pinned: "OrderedDict[str, dict]" = OrderedDict()
+        self._unpinned: "OrderedDict[str, dict]" = OrderedDict()
         #: parent_request_id -> local request_id alias index
         self._by_parent: dict[str, str] = {}
         self._bytes = 0
@@ -138,12 +158,11 @@ class TraceStore:
                 if self._c_dropped is not None:
                     self._c_dropped.inc()
                 return
-            record = {"spans": [], "instants": []}
-            self._open[rid] = record
+            record = self._open[rid] = ([], [])
         if isinstance(event, Span):
-            record["spans"].append(event.to_dict())
+            record[0].append(event)
         elif isinstance(event, Instant):
-            record["instants"].append(event.to_dict())
+            record[1].append(event)
 
     def finish(
         self,
@@ -161,9 +180,12 @@ class TraceStore:
         recorded spans still yields a (tiny) pinned record, because
         "the trace of the failing request" is exactly what gets asked
         for.
+
+        Retention runs in the order insert, expire, evict; a record
+        that expires or is evicted on arrival is counted but never
+        built.
         """
-        open_record = self._open.pop(request_id, None) \
-            or {"spans": [], "instants": []}
+        spans, instants = self._open.pop(request_id, None) or ((), ())
         self._finishes += 1
         if outcome != "ok":
             pinned = "error"
@@ -173,33 +195,49 @@ class TraceStore:
             pinned = "sample"
         else:
             pinned = None
-        doc = {
-            "request_id": request_id,
-            "parent_request_id": parent_request_id,
-            "verb": verb,
-            "outcome": outcome,
-            "duration_ms": round(duration_ms, 3),
-            "pinned": pinned,
-            "member": self.member_id,
-            "spans": open_record["spans"],
-            "instants": open_record["instants"],
-        }
-        size = len(json.dumps(doc, separators=(",", ":")))
-        old = self._records.pop(request_id, None)
+        old = self._pinned.pop(request_id, None)
+        if old is None:
+            old = self._unpinned.pop(request_id, None)
         if old is not None:
             self._forget(old, request_id)
-        self._records[request_id] = {
-            "doc": doc, "size": size, "ts": self._clock(),
-            "parent": parent_request_id,
-        }
-        self._bytes += size
-        if parent_request_id:
-            self._by_parent[parent_request_id] = request_id
+        ts = self._clock()
         if self._c_retained is not None:
             self._c_retained.inc()
             if pinned is not None:
                 self._c_pinned.inc()
-        self._prune()
+        # The new record stands at the back of its table: the TTL
+        # reaches it last, and the budget takes it first only when it
+        # is the one unpinned record over the count budget.  Then it is
+        # dropped before its document is built, and the alias it would
+        # have taken over goes with it.
+        expired = ts <= self._expire()
+        if expired or (pinned is None and not self._unpinned
+                       and len(self._pinned) >= self.max_traces):
+            if parent_request_id:
+                self._by_parent.pop(parent_request_id, None)
+            counter = self._c_expired if expired else self._c_evicted
+            if counter is not None:
+                counter.inc()
+        else:
+            doc = {
+                "request_id": request_id,
+                "parent_request_id": parent_request_id,
+                "verb": verb,
+                "outcome": outcome,
+                "duration_ms": round(duration_ms, 3),
+                "pinned": pinned,
+                "member": self.member_id,
+                "spans": [span.to_dict() for span in spans],
+                "instants": [inst.to_dict() for inst in instants],
+            }
+            size = len(json.dumps(doc, separators=(",", ":")))
+            table = self._unpinned if pinned is None else self._pinned
+            table[request_id] = {"doc": doc, "size": size, "ts": ts,
+                                 "parent": parent_request_id}
+            self._bytes += size
+            if parent_request_id:
+                self._by_parent[parent_request_id] = request_id
+        self._evict()
         self._update_gauges()
 
     # ------------------------------------------------------------ lookup
@@ -210,17 +248,24 @@ class TraceStore:
         request through the ``parent_request_id`` alias index.  Expired
         records are pruned on the way in, so a hit is always live.
         """
-        self._prune()
+        self._expire()
+        self._evict()
         self._update_gauges()
-        entry = self._records.get(request_id)
+        entry = self._entry(request_id)
         if entry is None:
             alias = self._by_parent.get(request_id)
             if alias is not None:
-                entry = self._records.get(alias)
+                entry = self._entry(alias)
         return entry["doc"] if entry is not None else None
 
+    def _entry(self, request_id: str) -> dict | None:
+        entry = self._pinned.get(request_id)
+        if entry is None:
+            entry = self._unpinned.get(request_id)
+        return entry
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._pinned) + len(self._unpinned)
 
     @property
     def bytes_used(self) -> int:
@@ -230,7 +275,7 @@ class TraceStore:
         """Shape served by the ``trace`` verb when no id matches."""
         return {
             "enabled": True,
-            "traces": len(self._records),
+            "traces": len(self),
             "bytes": self._bytes,
             "open": len(self._open),
             "max_traces": self.max_traces,
@@ -242,43 +287,44 @@ class TraceStore:
     # ----------------------------------------------------------- pruning
     def _forget(self, entry: dict, request_id: str) -> None:
         self._bytes -= entry["size"]
-        parent = entry.get("parent")
+        parent = entry["parent"]
         if parent and self._by_parent.get(parent) == request_id:
             del self._by_parent[parent]
 
-    def _prune(self) -> None:
-        """TTL first (pins included), then budget — unpinned first."""
-        if self.ttl_seconds is not None:
-            deadline = self._clock() - self.ttl_seconds
-            while self._records:
-                rid, entry = next(iter(self._records.items()))
+    def _expire(self) -> float:
+        """TTL, pins included: each table's front is its oldest record.
+        Returns the deadline; records sealed at or before it are gone."""
+        if self.ttl_seconds is None:
+            return -math.inf
+        deadline = self._clock() - self.ttl_seconds
+        for table in (self._pinned, self._unpinned):
+            while table:
+                rid, entry = next(iter(table.items()))
                 if entry["ts"] > deadline:
                     break
-                del self._records[rid]
+                del table[rid]
                 self._forget(entry, rid)
                 if self._c_expired is not None:
                     self._c_expired.inc()
-        while self._records and (
-            len(self._records) > self.max_traces
+        return deadline
+
+    def _evict(self) -> None:
+        """Budget: the oldest unpinned record first, then the oldest pin."""
+        pinned, unpinned = self._pinned, self._unpinned
+        while (pinned or unpinned) and (
+            len(pinned) + len(unpinned) > self.max_traces
             or self._bytes > self.max_bytes
         ):
-            victim = None
-            for rid, entry in self._records.items():
-                if entry["doc"]["pinned"] is None:
-                    victim = rid
-                    break
-            if victim is None:
-                # Budget pressure from pinned traces alone: give up the
-                # oldest pin rather than grow without bound.
-                victim = next(iter(self._records))
-            entry = self._records.pop(victim)
+            # Budget pressure from pinned traces alone gives up the
+            # oldest pin rather than grow without bound.
+            victim, entry = (unpinned or pinned).popitem(last=False)
             self._forget(entry, victim)
             if self._c_evicted is not None:
                 self._c_evicted.inc()
 
     def _update_gauges(self) -> None:
         if self._g_traces is not None:
-            self._g_traces.set(len(self._records))
+            self._g_traces.set(len(self._pinned) + len(self._unpinned))
             self._g_bytes.set(self._bytes)
 
 

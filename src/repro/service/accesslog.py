@@ -17,8 +17,12 @@ Line schema (all keys always present)::
      "bytes_out": 4096,           # encoded response frame size
      "member": null,              # fleet member the request was proxied
                                   # to ("m0"), null when served locally
-     "upstream_ms": null}         # time spent inside that member's
+     "upstream_ms": null,         # time spent inside that member's
                                   # round-trip; null when served locally
+     "decode_ms": 0.021,          # frame decode; null when not decoded
+     "handler_ms": 0.35,          # the verb's route (a router's includes
+                                  # upstream_ms); null when not routed
+     "encode_ms": 0.012}          # response encode
 
 Rotation, per-line flushing and the close-time flush-and-fsync are the
 shared :class:`~repro.obs.events.RotatingNdjsonWriter` machinery (the
@@ -32,6 +36,10 @@ import time
 from pathlib import Path
 
 from repro.obs.events import RotatingNdjsonWriter
+
+
+def _ms(value: float | None) -> float | None:
+    return None if value is None else round(value, 3)
 
 
 class AccessLog:
@@ -59,6 +67,9 @@ class AccessLog:
         ts: float | None = None,
         member: str | None = None,
         upstream_ms: float | None = None,
+        decode_ms: float | None = None,
+        handler_ms: float | None = None,
+        encode_ms: float | None = None,
     ) -> None:
         self._writer.write_record({
             "ts": round(time.time() if ts is None else ts, 3),
@@ -69,8 +80,10 @@ class AccessLog:
             "cache": cache,
             "bytes_out": bytes_out,
             "member": member,
-            "upstream_ms": (None if upstream_ms is None
-                            else round(upstream_ms, 3)),
+            "upstream_ms": _ms(upstream_ms),
+            "decode_ms": _ms(decode_ms),
+            "handler_ms": _ms(handler_ms),
+            "encode_ms": _ms(encode_ms),
         })
 
     # ------------------------------------------------------------ admin

@@ -9,7 +9,8 @@ drain, request completion), answers the verbs of
 :class:`~repro.service.handlers.Session` of its own.
 
 Every request runs under ``request_timeout`` seconds
-(``asyncio.wait_for``); the client gets a ``timeout`` error, the
+(``asyncio.timeout``, a timer on the connection's own task rather than
+a new Task per request); the client gets a ``timeout`` error, the
 underlying single-flight inference keeps running for later waiters.
 
 Everything is observable: request counts and latencies per verb, queue
@@ -237,11 +238,11 @@ class MctopDaemon(NdjsonServer):
         """One :class:`Handlers` verb, under ``request_timeout``."""
         handler = getattr(self.handlers, request.verb)
         try:
-            result = await asyncio.wait_for(
-                handler(request.params, session),
-                timeout=self.config.request_timeout,
-            )
-        except asyncio.TimeoutError:
+            # One timer handle on this task, not a Task per request: a
+            # warm ``place`` never suspends.
+            async with asyncio.timeout(self.config.request_timeout):
+                result = await handler(request.params, session)
+        except TimeoutError:
             raise ServiceError(
                 f"request exceeded {self.config.request_timeout}s",
                 code="timeout",

@@ -202,9 +202,11 @@ class Handlers:
         self.profiler = profiler
         self.default_repetitions = default_repetitions
         self.debug_verbs = debug_verbs
-        #: Per-index memo of fully-formed ``place`` result documents
-        #: (see ``place_many``); weak keys tie each memo's lifetime to
-        #: its index object.
+        #: Per-index memo of fully-formed placement result documents,
+        #: shared by ``place`` and ``place_many``: an index is
+        #: immutable, so a grid hit's document is a constant (see
+        #: ``_memo_query``).  Weak keys tie each memo's lifetime to its
+        #: index object, so evicting a topology drops its documents.
         self._place_docs: "WeakKeyDictionary" = WeakKeyDictionary()
         self.singleflight = SingleFlight(obs=obs)
         #: Cache peering: the other fleet members this daemon may ask
@@ -422,11 +424,11 @@ class Handlers:
         start = time.perf_counter()
         key, mctop, cached = await self._topology(params)
         index = await self._index(key, mctop)
-        policy = self._policy(params)
-        n_threads = _get_int(params, "threads", None)
-        n_sockets = _get_int(params, "sockets", None)
-        doc = self._place_query(index, policy, n_threads, n_sockets)
-        doc.update(key=key, cached=cached)
+        memo = self._place_docs.setdefault(index, {})
+        doc, hit = self._memo_query(memo, index, params, True)
+        if hit:
+            self.obs.counter("service.place.index_hits").inc()
+        doc = {**doc, "key": key, "cached": cached}
         doc["ms"] = round((time.perf_counter() - start) * 1e3, 3)
         return doc
 
@@ -460,13 +462,9 @@ class Handlers:
         key, mctop, cached = await self._topology(params)
         index = await self._index(key, mctop)
         self.obs.histogram("service.place.batch_size").observe(len(queries))
-        # The index is immutable, so a query's full result document is
-        # a constant: memoize it per (policy, threads, sockets) and the
-        # batch hot loop collapses to one dict probe per query.  The
-        # memo lives per index object (WeakKeyDictionary), so evicting
-        # a topology drops its documents too.  Batch results carry no
-        # per-query ``ms`` — a lookup's service time is the frame's,
-        # measured client-side; the single ``place`` verb keeps it.
+        # Batch results carry no per-query ``ms`` — a lookup's service
+        # time is the frame's, measured client-side; the single
+        # ``place`` verb keeps it.
         memo = self._place_docs.setdefault(index, {})
         results = []
         memo_hits = 0
@@ -474,30 +472,12 @@ class Handlers:
             if i and i % 512 == 0:
                 # Yield so a long batch cannot starve the event loop.
                 await asyncio.sleep(0)
-            if isinstance(query, dict):
-                probe = (query.get("policy", "CON_HWC"),
-                         query.get("threads"), query.get("sockets"),
-                         include_stats)
-                try:
-                    doc = memo.get(probe)
-                except TypeError:
-                    doc = probe = None
-                if doc is not None:
-                    results.append(doc)
-                    memo_hits += 1
-                    continue
-            else:
-                probe = None
             try:
                 if not isinstance(query, dict):
                     raise _invalid("each query must be a JSON object")
-                policy = self._policy(query)
-                n_threads = _get_int(query, "threads", None)
-                n_sockets = _get_int(query, "sockets", None)
-                doc = self._place_query(index, policy, n_threads, n_sockets,
-                                        include_stats=include_stats)
-                if probe is not None and doc["index"]:
-                    memo[probe] = doc
+                doc, hit = self._memo_query(memo, index, query,
+                                            include_stats)
+                memo_hits += hit
             except ServiceError as exc:
                 doc = {"error": {"code": exc.code, "message": str(exc)}}
             results.append(doc)
@@ -711,13 +691,38 @@ class Handlers:
     @staticmethod
     def _policy(params: dict) -> Policy:
         value = params.get("policy", "CON_HWC")
-        policy = _POLICY_BY_VALUE.get(value)
+        # A list or object policy is unhashable: refuse it before the
+        # lookup, or it would surface as an 'internal' error.
+        policy = (_POLICY_BY_VALUE.get(value) if isinstance(value, str)
+                  else None)
         if policy is None:
             raise _invalid(
                 f"unknown policy {value!r} "
                 f"(known: {', '.join(p.value for p in ALL_POLICIES)})"
             )
         return policy
+
+    def _memo_query(self, memo: dict, index, query: dict,
+                    include_stats: bool) -> tuple[dict, bool]:
+        """One query's result document, and whether the memo had it.
+
+        The memo is keyed on the *validated* ``(policy, threads,
+        sockets, include_stats)``, so ``threads: true`` or ``1.0`` is
+        refused even once ``threads: 1`` is memoized (``True == 1 ==
+        1.0`` in Python).  Only grid hits are memoized; a query outside
+        the grid is computed every time.  The memoized document is
+        shared: a caller that adds keys copies it first.
+        """
+        probe = (self._policy(query), _get_int(query, "threads", None),
+                 _get_int(query, "sockets", None), include_stats)
+        doc = memo.get(probe)
+        if doc is not None:
+            return doc, True
+        doc = self._place_query(index, *probe[:3],
+                                include_stats=include_stats)
+        if doc["index"]:
+            memo[probe] = doc
+        return doc, False
 
     def _place_query(self, index, policy: Policy, n_threads: int | None,
                      n_sockets: int | None, *,

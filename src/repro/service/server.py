@@ -84,6 +84,12 @@ class RequestRecord:
     #: The fleet member a router forwarded to, and that round-trip.
     member: str | None = None
     upstream_ms: float | None = None
+    #: Per-layer times: frame decode, the route (a router's includes
+    #: its upstream round-trip) and response encode; ``None`` when the
+    #: layer did not run for this frame.
+    decode_ms: float | None = None
+    handler_ms: float | None = None
+    encode_ms: float | None = None
 
     def note_cache(self, result) -> None:
         """Record a topology result's ``cached`` flag."""
@@ -320,17 +326,21 @@ class NdjsonServer:
 
     async def _answer(self, writer: asyncio.StreamWriter,
                       rec: RequestRecord, response: dict) -> None:
+        encode_start = time.perf_counter()
         frame = encode_frame(response)
-        self._complete(rec, len(frame))
+        self._complete(rec, len(frame), encode_start)
         writer.write(frame)
         await writer.drain()
 
-    def _complete(self, rec: RequestRecord, bytes_out: int) -> None:
+    def _complete(self, rec: RequestRecord, bytes_out: int,
+                  encode_start: float) -> None:
         """Complete one answered frame, in dependency order: the SLO
         engine scores it first, because its verdict is the tail-sampling
         signal that decides whether the trace store pins the trace; the
         access log writes its line last."""
-        duration = time.perf_counter() - rec.start
+        now = time.perf_counter()
+        rec.encode_ms = (now - encode_start) * 1e3
+        duration = now - rec.start
         violation = False
         if self.slo_engine is not None and rec.verb is not None:
             violation = self.slo_engine.observe(
@@ -355,6 +365,9 @@ class NdjsonServer:
                 bytes_out=bytes_out,
                 member=rec.member,
                 upstream_ms=rec.upstream_ms,
+                decode_ms=rec.decode_ms,
+                handler_ms=rec.handler_ms,
+                encode_ms=rec.encode_ms,
             )
 
     # ------------------------------------------------------------ dispatch
@@ -372,6 +385,7 @@ class NdjsonServer:
             try:
                 request = decode_request(line)
             except ProtocolError as exc:
+                rec.decode_ms = (time.perf_counter() - rec.start) * 1e3
                 # Degenerate root span so even a rejected frame's
                 # request_id resolves to something in the trace.
                 with self.obs.span(f"{self.prefix}.request", verb=None,
@@ -379,6 +393,7 @@ class NdjsonServer:
                                    outcome="bad_request"):
                     pass
                 return self._fail(rec, None, "bad_request", str(exc))
+            rec.decode_ms = (time.perf_counter() - rec.start) * 1e3
             rec.verb = request.verb
             rec.parent_request_id = parent = request.parent_request_id
             span_args = {"verb": request.verb, "request_id": rec.request_id}
@@ -445,10 +460,11 @@ class NdjsonServer:
             return self._fail(rec, request.id, "internal",
                               f"{type(exc).__name__}: {exc}")
         finally:
+            elapsed = time.perf_counter() - start
+            rec.handler_ms = elapsed * 1e3
             self._inflight -= 1
             self.obs.gauge(f"{self.prefix}.queue_depth").set(self._inflight)
             if timer is not None:
-                elapsed = time.perf_counter() - start
                 timer.observe(elapsed)
                 # Label the latency exemplar with the fleet-wide id
                 # when the request was forwarded, so a merged metrics

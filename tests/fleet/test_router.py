@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import MAX_LINE_BYTES, inference_key
+from repro.service.cache import _KEY_MEMO, _KEY_MEMO_MAX_REPR
 from repro.service.handlers import parse_inference_params
 
 
@@ -204,6 +205,40 @@ class TestFailover:
         assert owner in rebalance["previous_members"]
         assert owner not in rebalance["members"]
 
+    def test_a_stalled_owner_times_out_and_fails_over(self, fleet_factory):
+        """The owner answers health probes but takes a ``place`` frame
+        and never answers it: once ``request_timeout`` passes, the
+        router fails over to the next ring candidate and counts one
+        failover."""
+        fleet = fleet_factory(n_members=2,
+                              router_overrides={"request_timeout": 0.5})
+        key = router_key(fleet, "testbox", seed=13)
+        owner, successor = fleet.router.health.ring.preference(key)[:2]
+        with fleet.member_client(successor) as member:
+            member.infer("testbox", seed=13)  # a warm answer to fail over to
+        release = asyncio.Event()
+
+        async def stall(params, session):
+            await release.wait()
+            return {}
+
+        fleet.daemons[owner].handlers.place = stall
+        try:
+            with fleet.client() as client:
+                started = time.monotonic()
+                doc = client.place("testbox", "RR_CORE", threads=2, seed=13)
+                elapsed = time.monotonic() - started
+                assert client.last_upstream["member"] == successor
+            assert doc["index"] is True and len(doc["ordering"]) == 2
+            assert elapsed >= 0.5
+            registry = fleet.router.obs.registry
+            assert registry.value("fleet.forward.failovers") == 1
+            # The stalled member is alive: it still answers probes.
+            with fleet.member_client(owner) as member:
+                assert member.ping()["pong"] is True
+        finally:
+            fleet.loop.call_soon_threadsafe(release.set)
+
     def test_all_members_down_yields_unavailable(self, fleet_factory):
         fleet = fleet_factory(n_members=2)
         for member in ("m0", "m1"):
@@ -253,8 +288,9 @@ class TestAccessLog:
             member = client.last_upstream["member"]
             client.ping()
             ping_rid = client.last_request_id
-        # The router logs a line *after* flushing the response to the
-        # client, so give the last line a moment to land on disk.
+        # The router writes each line before it writes the response,
+        # but the log is read from another thread while the fleet runs,
+        # so give the last line a moment to land on disk.
         deadline = time.monotonic() + 5
         while True:
             lines = {e["request_id"]: e
@@ -265,6 +301,9 @@ class TestAccessLog:
         infer_line = lines[infer_rid]
         assert infer_line["member"] == member
         assert infer_line["upstream_ms"] > 0
+        # The route's time includes the member's round-trip.
+        assert infer_line["handler_ms"] >= infer_line["upstream_ms"]
+        assert infer_line["decode_ms"] >= 0 and infer_line["encode_ms"] >= 0
         assert infer_line["cache"] == "miss"
         # Locally answered verbs have the fields present but null.
         ping_line = lines[ping_rid]
@@ -330,6 +369,18 @@ class TestRobustness:
         assert line is not None
         assert line["outcome"] == "bad_request"
         assert line["verb"] is None
+
+    def test_a_huge_machine_name_is_not_memoized(self, fleet):
+        """The router digests any machine string (catalog checks are
+        the member's), so a multi-MiB name is refused by the member and
+        leaves nothing behind in the process-wide key memo."""
+        machine = "x" * (4 << 20)
+        with fleet.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("place", machine=machine, seed=1)
+        assert excinfo.value.code == "invalid_params"
+        assert all(len(probe[0]) <= _KEY_MEMO_MAX_REPR
+                   for probe in _KEY_MEMO)
 
     def test_backpressure(self, fleet_factory):
         fleet = fleet_factory(router_overrides={"max_pending": 1})

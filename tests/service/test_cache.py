@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm import (
     InferenceConfig,
@@ -12,9 +16,31 @@ from repro.core.algorithm import (
     infer_topology,
 )
 from repro.hardware import get_machine
-from repro.service.cache import InferenceCache, SingleFlight, inference_key
+from repro.service.cache import (
+    _KEY_MEMO,
+    _KEY_MEMO_MAX_REPR,
+    KEY_FORMAT_VERSION,
+    InferenceCache,
+    SingleFlight,
+    inference_key,
+)
 
 TABLE = LatencyTableConfig(repetitions=9)
+
+
+def reference_key(machine, seed, table=None) -> str:
+    """``inference_key`` as it was before its memo: the digest of the
+    canonical JSON, worked out on every call."""
+    table = table or LatencyTableConfig()
+    doc = {
+        "format": "mctop-inference-key",
+        "version": KEY_FORMAT_VERSION,
+        "machine": machine,
+        "seed": int(seed),
+        "table": table.cache_key_dict(),
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +70,51 @@ class TestInferenceKey:
         key = inference_key("ivy", 1)
         assert len(key) == 64
         assert int(key, 16) >= 0
+
+    def test_equal_configs_of_other_types_keep_their_own_digest(self):
+        """``1``/``True`` configs are equal and hash alike; the memo must
+        not hand one the other's digest."""
+        one = LatencyTableConfig(warm_up=1)
+        true = LatencyTableConfig(warm_up=True)
+        assert one == true and hash(one) == hash(true)
+        assert inference_key("ivy", 1, one) == reference_key("ivy", 1, one)
+        assert inference_key("ivy", 1, true) == reference_key("ivy", 1, true)
+        assert inference_key("ivy", 1, one) != inference_key("ivy", 1, true)
+
+    def test_long_inputs_are_digested_but_never_memoized(self):
+        """The inputs come from clients and a frame may be 16 MiB, so a
+        key whose inputs print long is worked out every time and never
+        kept: a few hundred such frames must not stay in memory."""
+        long_machine = "m" * (2 << 20)
+        long_floor = LatencyTableConfig(repetitions=9,
+                                        stdev_floor="9" * (2 << 20))
+        for machine, table in ((long_machine, TABLE), ("ivy", long_floor)):
+            assert inference_key(machine, 1, table) \
+                == reference_key(machine, 1, table)
+        assert all(len(probe[0]) <= _KEY_MEMO_MAX_REPR
+                   for probe in _KEY_MEMO)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(history=st.lists(st.tuples(
+        st.sampled_from(("ivy", "opteron")),
+        st.sampled_from((0, 1, True)),
+        st.sampled_from((1, True)),
+        st.sampled_from((3, 3.0)),
+        st.sampled_from((0.0, -0.0)),
+        st.sampled_from((1, 4)),
+        st.sampled_from(("auto", "pair")),
+    ), min_size=1, max_size=30))
+    def test_memo_matches_the_unmemoized_digest(self, history):
+        """Histories of configs that are equal but typed differently, in
+        any order: every answer is the reference digest."""
+        for machine, seed, warm_up, floor, discard, jobs, sampling \
+                in history:
+            table = LatencyTableConfig(
+                repetitions=9, warm_up=warm_up, stdev_floor=floor,
+                max_discard_fraction=discard, jobs=jobs, sampling=sampling,
+            )
+            assert inference_key(machine, seed, table) \
+                == reference_key(machine, seed, table)
 
 
 class TestInferenceCache:

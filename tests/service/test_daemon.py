@@ -121,6 +121,25 @@ class TestErrors:
         with harness.client() as client:
             assert client.ping()["pong"] is True
 
+    def test_a_timed_out_infer_leaves_its_run_going(self, daemon_factory):
+        """The request times out, but the single-flight run it started
+        is shielded: it finishes and fills the cache, so the retry is a
+        hit and MCTOP-ALG ran once."""
+        harness = daemon_factory(request_timeout=0.05)
+        with harness.client() as client:
+            with pytest.raises(ServiceError) as exc_info:
+                client.infer("ivy", seed=4)
+        assert exc_info.value.code == "timeout"
+        assert str(exc_info.value) == "request exceeded 0.05s"
+        registry = harness.daemon.obs.registry
+        deadline = time.monotonic() + 30
+        while registry.value("service.place.index_builds", 0) < 1:
+            assert time.monotonic() < deadline, "the run never finished"
+            time.sleep(0.02)
+        with harness.client() as client:
+            assert client.infer("ivy", seed=4)["cached"] is True
+        assert registry.value("service.inference.runs") == 1
+
     def test_backpressure(self, daemon_factory):
         harness = daemon_factory(max_pending=1, request_timeout=10.0)
         blocker = harness.client(timeout=10.0).connect()

@@ -127,6 +127,48 @@ class TestPlaceMany:
                                queries=queries, seed=1)
         assert excinfo.value.code == "invalid_params"
 
+    def test_the_memo_never_skips_validation(self, harness):
+        """``True == 1 == 1.0`` in Python and all three hash alike, so a
+        memoized ``threads: 1`` (or ``sockets: 1``) must not answer a
+        later ``threads: true`` / ``1.0`` (or ``sockets: true``): each
+        is refused inline, and ``place`` refuses the same params."""
+        valid = [{"policy": "RR_CORE", "threads": 1},
+                 {"policy": "RR_CORE", "threads": 2, "sockets": 1}]
+        invalid = [{"policy": "RR_CORE", "threads": True},
+                   {"policy": "RR_CORE", "threads": 1.0},
+                   {"policy": "RR_CORE", "threads": 2, "sockets": True}]
+        with harness.client() as client:
+            first = client.place_many("testbox", valid, seed=1)
+            assert all(r["index"] for r in first["results"])
+            doc = client.place_many("testbox", invalid, seed=1)
+            for result in doc["results"]:
+                assert result["error"]["code"] == "invalid_params"
+            for query in invalid:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request("place", machine="testbox", seed=1,
+                                   **query)
+                assert excinfo.value.code == "invalid_params"
+
+    def test_a_policy_that_is_not_a_string_is_invalid(self, harness):
+        """A list or object ``policy`` cannot be looked up: ``place``
+        answers ``invalid_params``, not ``internal``, and in a batch
+        only that query gets an inline error."""
+        bad = (["RR_CORE"], {"RR_CORE": 1})
+        with harness.client() as client:
+            for policy in bad:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request("place", machine="testbox", seed=1,
+                                   policy=policy, threads=1)
+                assert excinfo.value.code == "invalid_params"
+            queries = [{"policy": "RR_CORE", "threads": 1},
+                       *({"policy": policy, "threads": 1} for policy in bad),
+                       {"policy": "RR_CORE", "threads": 2}]
+            results = client.place_many("testbox", queries,
+                                        seed=1)["results"]
+        assert results[0]["index"] and results[3]["index"]
+        for result in results[1:3]:
+            assert result["error"]["code"] == "invalid_params"
+
     def test_repeat_batches_are_served_from_the_memo(self, harness):
         with harness.client() as client:
             client.place_many("testbox", self.QUERIES, seed=1)

@@ -194,7 +194,8 @@ class TestAccessLog:
         assert len(lines) == 4
         by_rid = {line["request_id"]: line for line in lines}
         schema = {"ts", "request_id", "verb", "outcome", "duration_ms",
-                  "cache", "bytes_out", "member", "upstream_ms"}
+                  "cache", "bytes_out", "member", "upstream_ms",
+                  "decode_ms", "handler_ms", "encode_ms"}
         for line in lines:
             assert set(line) == schema
             assert line["bytes_out"] > 0
@@ -202,6 +203,10 @@ class TestAccessLog:
             # Fleet-router fields are always present, null off-fleet.
             assert line["member"] is None
             assert line["upstream_ms"] is None
+            if line["outcome"] == "ok":
+                for layer in ("decode_ms", "handler_ms", "encode_ms"):
+                    assert isinstance(line[layer], (int, float))
+                    assert line[layer] >= 0
 
         assert by_rid[rids["ping"]]["verb"] == "ping"
         assert by_rid[rids["ping"]]["outcome"] == "ok"
@@ -210,6 +215,10 @@ class TestAccessLog:
         assert by_rid[rids["hit"]]["cache"] == "hit"
         assert by_rid[rids["bad"]]["verb"] == "frobnicate"
         assert by_rid[rids["bad"]]["outcome"] == "unknown_verb"
+        # An unknown verb is decoded and encoded but never routed.
+        assert by_rid[rids["bad"]]["decode_ms"] >= 0
+        assert by_rid[rids["bad"]]["handler_ms"] is None
+        assert by_rid[rids["bad"]]["encode_ms"] >= 0
 
     def test_client_that_hangs_up_is_counted_traced_and_logged(
         self, daemon_factory, tmp_path
