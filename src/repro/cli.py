@@ -259,101 +259,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.os_comparison.all_match else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Time cold inference across measurement-engine modes."""
-    import json
-
-    from repro.benchmark import run_bench, run_fuzz_bench
-    from repro.obs.history import (
-        compare_bench,
-        load_baseline,
-        render_verdict_table,
-    )
-
-    if args.replay is not None:
-        if args.compare is None:
-            raise MctopError("--replay only makes sense with --compare")
-        try:
-            doc = json.loads(Path(args.replay).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MctopError(
-                f"cannot read bench document {args.replay}: {exc}"
-            ) from None
-    elif args.fuzz:
-        out = args.out
-        if out == "BENCH_3.json":  # keep the inference bench snapshot
-            out = "BENCH_FUZZ.json"
-        history = args.history
-        if history is None and not args.no_history:
-            history = str(Path(out).with_name("BENCH_HISTORY.jsonl"))
-        doc = run_fuzz_bench(
-            count=args.fuzz_count,
-            seed=args.seed,
-            jobs=args.jobs,
-            quick=args.quick,
-            repetitions=args.repetitions,
-            out=out,
-            progress=print,
-            history=None if args.no_history else history,
-        )
-        print(f"bench written to {out}")
-        stats = doc["machines"][0]["modes"]["fuzz"]
-        print(f"fuzz: {args.fuzz_count} machines in "
-              f"{stats['wall_seconds']}s "
-              f"({stats['machines_per_sec']} machines/s, "
-              f"{stats['samples_per_sec']:,} samples/s)")
-        if not doc["fuzz_ok"]:
-            print("error: fuzz cases failed during the bench",
-                  file=sys.stderr)
-            return 1
-    else:
-        machines = args.machines.split(",") if args.machines else None
-        history = args.history
-        if history is None and not args.no_history:
-            history = str(Path(args.out).with_name("BENCH_HISTORY.jsonl"))
-        try:
-            doc = run_bench(
-                machines=machines,
-                repetitions=args.repetitions,
-                seed=args.seed,
-                jobs=args.jobs,
-                quick=args.quick,
-                out=args.out,
-                progress=print,
-                history=None if args.no_history else history,
-            )
-        except ValueError as exc:
-            raise MctopError(str(exc)) from None
-        print(f"bench written to {args.out}")
-        for entry in doc["machines"]:
-            print(f"{entry['machine']:>10}: "
-                  f"batched {entry['batched_speedup']}x, "
-                  f"jobs {entry['jobs_speedup']}x vs scalar "
-                  f"({entry['n_contexts']} contexts)")
-        if not doc["all_topologies_identical"]:
-            print("error: modes produced diverging topologies",
-                  file=sys.stderr)
-            return 1
-        if not doc["all_batched_faster"]:
-            print("error: batched mode slower than scalar", file=sys.stderr)
-            return 1
-
-    if args.compare is not None:
-        try:
-            baseline = load_baseline(args.compare)
-            comparison = compare_bench(
-                doc, baseline,
-                metric=args.compare_metric,
-                threshold=args.threshold,
-            )
-        except (OSError, ValueError) as exc:
-            raise MctopError(str(exc)) from None
-        print(render_verdict_table(comparison))
-        if not comparison["ok"]:
-            return 1
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Property-based fuzzing: generated machines through the full
     measure → infer → compare loop (see docs/FUZZING.md)."""
@@ -867,149 +772,6 @@ def _cmd_events_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Open-loop load generation against mctopd (docs/PLACEMENT.md)."""
-    import json
-
-    from repro.obs.history import (
-        append_history,
-        compare_bench,
-        load_baseline,
-        render_verdict_table,
-    )
-    from repro.service.client import MctopClient
-    from repro.service.loadgen import (
-        LoadgenConfig,
-        SelfHostedDaemon,
-        collect_exemplar_traces,
-        collect_profile,
-        loadgen_bench_doc,
-        parse_mix,
-        render_loadgen_report,
-        run_loadgen,
-    )
-
-    config = LoadgenConfig(
-        machine=args.machine,
-        duration=args.duration,
-        rate=args.rate,
-        batch=args.batch,
-        workers=args.workers,
-        mix=parse_mix(args.mix),
-        include_stats=args.include_stats,
-        seed=args.seed,
-        repetitions=args.repetitions,
-    )
-
-    trace_doc: dict | None = None
-    profile_doc: dict | None = None
-    want_profile = args.profile or args.profile_out is not None
-
-    def run(unix_path: str | None, host: str | None, port: int) -> dict:
-        def make_client() -> MctopClient:
-            return MctopClient(unix_path=unix_path, host=host, port=port,
-                               timeout=args.timeout)
-
-        result = run_loadgen(config, make_client, progress=print)
-        if args.trace_out:
-            # Collected before the daemon (and its trace store) goes
-            # away, so the artifact carries the run's actual slowest
-            # requests.
-            nonlocal trace_doc
-            trace_doc = collect_exemplar_traces(make_client)
-        if args.profile_out:
-            # Same lifetime rule: snapshot the profiler before the
-            # self-hosted daemon is torn down.
-            nonlocal profile_doc
-            profile_doc = collect_profile(make_client)
-        return result
-
-    if args.unix is None and args.host is None:
-        # Self-contained run: a throwaway in-process daemon on a Unix
-        # socket in a temp directory (what the CI smoke job uses).
-        with SelfHostedDaemon(
-            repetitions=args.repetitions or 31,
-            profile=want_profile,
-            profile_hz=args.profile_hz,
-        ) as daemon:
-            doc = run(daemon.unix_path, None, 0)
-    else:
-        doc = run(args.unix, args.host, args.port)
-
-    print(render_loadgen_report(doc))
-    if args.out:
-        target = Path(args.out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"loadgen document written to {args.out}")
-    if args.hist_out:
-        target = Path(args.hist_out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(doc["histogram"], indent=1, sort_keys=True) + "\n"
-        )
-        print(f"latency histogram written to {args.hist_out}")
-    if args.trace_out and trace_doc is not None:
-        target = Path(args.trace_out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(trace_doc, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"{trace_doc['count']} slowest-request traces written to "
-              f"{args.trace_out}")
-    if args.profile_out and profile_doc is not None:
-        target = Path(args.profile_out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(profile_doc, indent=1, sort_keys=True) + "\n"
-        )
-        inner = profile_doc.get("profile") or {}
-        print(f"profile ({inner.get('samples', 0)} samples) written to "
-              f"{args.profile_out}")
-
-    bench_doc = loadgen_bench_doc(doc)
-    if not args.no_history:
-        history = args.history
-        if history is None:
-            anchor = Path(args.out) if args.out else Path("LOADGEN.json")
-            history = str(anchor.with_name("BENCH_HISTORY.jsonl"))
-        append_history(bench_doc, history)
-
-    failed = False
-    if doc["frame_errors"]:
-        print(f"error: {doc['frame_errors']} request frames failed",
-              file=sys.stderr)
-        failed = True
-    if doc["query_errors"]:
-        print(f"error: {doc['query_errors']} placement queries returned "
-              "errors", file=sys.stderr)
-        failed = True
-    if args.slo_p99 is not None:
-        # The gate rides the same Objective definitions as the daemon's
-        # burn-rate engine, so CLI and service judge latency alike.
-        from repro.obs.slo import Objective, check_loadgen_slo
-
-        objectives = (Objective("place", p99_ms=args.slo_p99),)
-        for violation in check_loadgen_slo(objectives, doc):
-            print(f"error: {violation}", file=sys.stderr)
-            failed = True
-
-    if args.compare is not None:
-        try:
-            baseline = load_baseline(args.compare)
-            comparison = compare_bench(
-                bench_doc, baseline,
-                metric=args.compare_metric,
-                threshold=args.threshold,
-            )
-        except (OSError, ValueError) as exc:
-            raise MctopError(str(exc)) from None
-        print(render_verdict_table(comparison))
-        if not comparison["ok"]:
-            failed = True
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mctop",
@@ -1126,57 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trace show: print the raw trace document")
     common(p_trace)
     p_trace.set_defaults(func=_cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time cold inference across the scalar/batched/jobs "
-             "measurement engine modes and write BENCH_3.json",
-    )
-    p_bench.add_argument("--machines",
-                         help="comma-separated catalog machines "
-                              "(default: all)")
-    p_bench.add_argument("--repetitions", type=int, default=None,
-                         help="latency samples per context pair "
-                              "(default: 75, or 25 with --quick)")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the jobs mode "
-                              "(default: CPU count, capped at 8)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="smoke-test sample counts for CI")
-    p_bench.add_argument("--out", default="BENCH_3.json",
-                         help="output JSON path")
-    p_bench.add_argument("--history", default=None,
-                         help="append-only JSONL performance history "
-                              "(one record per machine+mode per run; "
-                              "default: BENCH_HISTORY.jsonl next to --out)")
-    p_bench.add_argument("--no-history", action="store_true",
-                         help="skip the history append")
-    p_bench.add_argument("--compare", metavar="BASELINE",
-                         help="regression gate: diff this run against a "
-                              "bench JSON or history JSONL baseline; "
-                              "exits 1 on regression")
-    p_bench.add_argument("--fuzz", action="store_true",
-                         help="benchmark fuzz throughput (machines/sec "
-                              "through generate+infer+oracle) instead of "
-                              "the engine modes; writes BENCH_FUZZ.json")
-    p_bench.add_argument("--fuzz-count", type=int, default=25,
-                         metavar="N",
-                         help="generated machines per --fuzz run "
-                              "(default 25)")
-    p_bench.add_argument("--compare-metric", default="speedup_vs_scalar",
-                         choices=("speedup_vs_scalar", "samples_per_sec",
-                                  "machines_per_sec", "wall_seconds",
-                                  "place_qps", "p99_ms"),
-                         help="metric the gate diffs (the default is a "
-                              "same-host ratio, robust across runners)")
-    p_bench.add_argument("--threshold", type=float, default=0.15,
-                         help="fractional worsening tolerated before the "
-                              "gate fails (default 0.15 = 15%%)")
-    p_bench.add_argument("--replay", metavar="BENCH_JSON",
-                         help="gate a previously saved bench document "
-                              "instead of re-running the benchmark")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -1440,84 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="against a fleet router: add the membership "
                             "section (polls the fleet verb)")
     p_top.set_defaults(func=_cmd_top)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="open-loop load generator for the placement service: "
-             "mixed place_many/infer traffic at a target rate, "
-             "p50/p99/p999 vs --slo-p99, place_qps into the bench "
-             "history gate (see docs/PLACEMENT.md)",
-    )
-    endpoint(p_loadgen)
-    p_loadgen.add_argument("--machine", default="testbox",
-                           help="catalog machine the traffic targets "
-                                "(default testbox)")
-    p_loadgen.add_argument("--duration", type=float, default=10.0,
-                           help="measured window (seconds, default 10)")
-    p_loadgen.add_argument("--rate", type=float, default=150_000.0,
-                           help="target placement-query arrival rate "
-                                "(queries/sec, default 150000)")
-    p_loadgen.add_argument("--batch", type=int, default=512,
-                           help="queries per place_many frame "
-                                "(default 512)")
-    p_loadgen.add_argument("--workers", type=int, default=4,
-                           help="client threads sharing the schedule, "
-                                "one connection each (default 4)")
-    p_loadgen.add_argument("--mix", default="place=0.9,infer=0.1",
-                           help="relative frame-mix weights, e.g. "
-                                "place=0.9,infer=0.1 (the default)")
-    p_loadgen.add_argument("--include-stats", action="store_true",
-                           help="ship the Figure-7 stats block with "
-                                "every result (10x bigger responses)")
-    p_loadgen.add_argument("--seed", type=int, default=1,
-                           help="schedule/query RNG seed (default 1)")
-    p_loadgen.add_argument("--repetitions", type=int, default=None,
-                           help="latency samples per context pair for "
-                                "the warm-up inference")
-    p_loadgen.add_argument("--timeout", type=float, default=30.0,
-                           help="client-side socket timeout (seconds)")
-    p_loadgen.add_argument("--slo-p99", type=float, default=None,
-                           metavar="MS",
-                           help="fail (exit 1) when the place-frame p99 "
-                                "exceeds this many milliseconds")
-    p_loadgen.add_argument("--out",
-                           help="write the full loadgen JSON document "
-                                "here")
-    p_loadgen.add_argument("--hist-out", metavar="PATH",
-                           help="write the latency histogram JSON here "
-                                "(the CI failure artifact)")
-    p_loadgen.add_argument("--trace-out", metavar="PATH",
-                           help="write the run's slowest-request traces "
-                                "(from the daemon's latency exemplars) "
-                                "as JSON here")
-    p_loadgen.add_argument("--profile", action="store_true",
-                           help="self-hosted runs: start the daemon with "
-                                "the sampling profiler enabled")
-    p_loadgen.add_argument("--profile-hz", type=float, default=100.0,
-                           help="profiler sampling rate for --profile "
-                                "(default 100)")
-    p_loadgen.add_argument("--profile-out", metavar="PATH",
-                           help="write the run's profile snapshot as "
-                                "JSON here (implies --profile for "
-                                "self-hosted runs)")
-    p_loadgen.add_argument("--history", default=None,
-                           help="append a place_qps record to this "
-                                "JSONL history (default: "
-                                "BENCH_HISTORY.jsonl next to --out)")
-    p_loadgen.add_argument("--no-history", action="store_true",
-                           help="skip the history append")
-    p_loadgen.add_argument("--compare", metavar="BASELINE",
-                           help="gate against a bench JSON or JSONL "
-                                "history baseline; exit 1 on regression")
-    p_loadgen.add_argument("--compare-metric", default="place_qps",
-                           choices=("place_qps", "p99_ms",
-                                    "wall_seconds"),
-                           help="metric the gate diffs (default "
-                                "place_qps)")
-    p_loadgen.add_argument("--threshold", type=float, default=0.15,
-                           help="fractional worsening tolerated before "
-                                "the gate fails (default 0.15 = 15%%)")
-    p_loadgen.set_defaults(func=_cmd_loadgen)
 
     p_profile = sub.add_parser(
         "profile",

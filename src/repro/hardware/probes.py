@@ -419,8 +419,9 @@ class PairSampler:
         """``n`` raw samples (rdtsc overhead still included) for one
         measurement attempt of pair ``(x, y)``.
 
-        ``vectorized=False`` is the reference scalar engine the
-        benchmark harness compares against: it prices the coherence
+        ``vectorized=False`` is the reference scalar engine, the oracle
+        of the engine-mode test in ``benchmarks/`` and of
+        ``tests/core/test_batch_engine.py``: it prices the coherence
         transaction, walks the DVFS trajectory and draws from the
         substream one sample at a time, the way the pre-batching engine
         did.  Both paths produce bit-identical arrays — only the cost

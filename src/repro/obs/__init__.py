@@ -52,7 +52,6 @@ from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
     Objective,
     SloEngine,
-    check_loadgen_slo,
     parse_objectives,
 )
 from repro.obs.trace_store import (
@@ -143,7 +142,6 @@ __all__ = [
     "TraceStore",
     "Tracer",
     "assemble_fleet_timeline",
-    "check_loadgen_slo",
     "collapsed_stacks",
     "compare_mctops",
     "merge_profile_docs",

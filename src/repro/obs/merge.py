@@ -2,8 +2,8 @@
 
 The fleet router's ``metrics`` and ``drift`` verbs fan out to every
 live member and answer with *one* document in the same shape a single
-daemon produces, so every existing consumer — ``mctop top``, the
-Prometheus renderer, the bench gate — works unchanged against a fleet.
+daemon produces, so every existing consumer — ``mctop top`` and the
+Prometheus renderer — works unchanged against a fleet.
 
 Merge semantics per instrument kind:
 

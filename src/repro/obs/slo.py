@@ -27,13 +27,12 @@ Outputs, in decreasing order of urgency:
 * ``slo.burn`` / ``slo.recovered`` events with verb + severity;
 * ``slo.<verb>.burn_rate.fast|slow`` and ``slo.<verb>.alerting``
   gauges (rendered as ``slo_*`` on ``/metrics``);
-* the ``slo`` verb's status document, the ``mctop top`` SLO panel,
-  and :func:`check_loadgen_slo` — the loadgen gate reuses the same
-  :class:`Objective` definitions instead of a hand-rolled threshold.
+* the ``slo`` verb's status document and the ``mctop top`` SLO panel.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ __all__ = [
     "Objective",
     "SLOW_BURN",
     "SloEngine",
-    "check_loadgen_slo",
     "parse_objective",
     "parse_objectives",
 ]
@@ -65,8 +63,10 @@ class Objective:
     def __post_init__(self):
         if not self.verb:
             raise ValueError("objective verb must be non-empty")
-        if self.p99_ms <= 0:
-            raise ValueError("p99_ms must be > 0")
+        # NaN compares false with everything, so a NaN target would
+        # count every request good and put a bare NaN in the slo answer.
+        if not (math.isfinite(self.p99_ms) and self.p99_ms > 0):
+            raise ValueError("p99_ms must be finite and > 0")
         if not 0.0 < self.availability < 1.0:
             raise ValueError("availability must be in (0, 1)")
 
@@ -351,34 +351,3 @@ class SloEngine:
             "objectives": objectives,
         }
 
-
-def check_loadgen_slo(objectives, doc: dict) -> list[str]:
-    """Judge a loadgen result document against objectives.
-
-    Returns human-readable violation strings (empty = pass).  The
-    loadgen measures the ``place`` verb's latency distribution, so its
-    ``p99_ms`` is checked against the ``place`` objective (falling back
-    to ``place_many`` if that is the only one given); availability is
-    checked from the error/total counts when present.
-    """
-    violations: list[str] = []
-    by_verb = {o.verb: o for o in objectives}
-    latency = by_verb.get("place") or by_verb.get("place_many")
-    if latency is not None and doc.get("p99_ms") is not None:
-        if doc["p99_ms"] > latency.p99_ms:
-            violations.append(
-                f"SLO violated: p99 {doc['p99_ms']:.3f} ms > "
-                f"objective {latency.p99_ms:.3f} ms ({latency.verb})"
-            )
-    total = doc.get("requests") or doc.get("total_requests") or (
-        doc.get("n_place_frames", 0) + doc.get("n_infer_frames", 0) or None
-    )
-    errors = doc.get("errors") or doc.get("frame_errors") or 0
-    if latency is not None and total:
-        availability = 1.0 - errors / total
-        if availability < latency.availability:
-            violations.append(
-                f"SLO violated: availability {availability:.5f} < "
-                f"objective {latency.availability} ({latency.verb})"
-            )
-    return violations

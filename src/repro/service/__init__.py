@@ -24,13 +24,6 @@ from repro.service.handlers import (
     encode_mctop_blob,
     parse_inference_params,
 )
-from repro.service.loadgen import (
-    LoadgenConfig,
-    SelfHostedDaemon,
-    loadgen_bench_doc,
-    parse_mix,
-    run_loadgen,
-)
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -47,13 +40,11 @@ __all__ = [
     "DriftWatcher",
     "Handlers",
     "InferenceCache",
-    "LoadgenConfig",
     "MAX_LINE_BYTES",
     "MctopClient",
     "MctopDaemon",
     "PROTOCOL_VERSION",
     "Request",
-    "SelfHostedDaemon",
     "ServeConfig",
     "Session",
     "SingleFlight",
@@ -65,10 +56,7 @@ __all__ = [
     "encode_mctop_blob",
     "error_response",
     "inference_key",
-    "loadgen_bench_doc",
     "ok_response",
     "parse_inference_params",
-    "parse_mix",
     "run_daemon",
-    "run_loadgen",
 ]

@@ -1,8 +1,8 @@
 """Synchronous client for ``mctopd``.
 
 A blocking wrapper over a pool of socket connections: the CLI's
-``mctop query``, the load generator, tests and any embedding
-application use it instead of hand-rolling the NDJSON framing.
+``mctop query``, tests and any embedding application use it instead
+of hand-rolling the NDJSON framing.
 
 ``pool_size`` connections (default 1) are opened lazily and used
 round-robin for stateless verbs, plus request *pipelining* via
@@ -223,7 +223,7 @@ class MctopClient:
         one request per connection at a time and writes responses in
         order, so the k-th response answers the k-th request.  One
         round-trip of latency is paid once, not per request — this is
-        how the load generator sustains its throughput.
+        how :meth:`place_many` sends a split batch.
 
         Single-attempt by design (no retry loop): an error response or
         transport failure closes the connection and raises, because

@@ -91,7 +91,9 @@ class ServeConfig:
     #: traces and a 1-in-``trace_sample_every`` sample pinned, fast ok
     #: traces evicted first under the count/byte budget + TTL.  On by
     #: default: the whole point is answering "why was request X slow?"
-    #: *after* the fact, and the bench gate proves it is cheap.
+    #: *after* the fact.  perfbench's place-small runs with it on, and
+    #: CI's perfbench gate holds that run's daemon CPU per frame within
+    #: its bound of the base commit's.
     trace_store: bool = True
     trace_max_traces: int = 512
     trace_max_bytes: int = 4_000_000
@@ -108,7 +110,8 @@ class ServeConfig:
     #: ``profile_hz`` and folds collapsed stacks — tagged with the
     #: dispatching verb and request id — into a store bounded by
     #: ``profile_max_bytes``.  Off by default; cheap enough to leave on
-    #: under production load (the loadgen gate proves < 5% overhead).
+    #: under production load (CI's profile smoke holds the sampler's own
+    #: ``overhead_fraction`` at or below 0.05).
     profile: bool = False
     profile_hz: float = 100.0
     profile_max_bytes: int = 2_000_000

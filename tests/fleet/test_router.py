@@ -384,12 +384,26 @@ class TestRobustness:
 
     def test_backpressure(self, fleet_factory):
         fleet = fleet_factory(router_overrides={"max_pending": 1})
+        registry = fleet.router.obs.registry
         blocker = fleet.client(timeout=10.0).connect()
-        release = threading.Thread(
-            target=lambda: blocker.request("_sleep", seconds=1.5)
-        )
+        errors: list[Exception] = []
+
+        def block() -> None:
+            try:
+                blocker.request("_sleep", seconds=1.5)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        release = threading.Thread(target=block)
         release.start()
         try:
+            # Probe only once the _sleep holds the one slot (the queue
+            # depth is set at admission); a probe sent earlier could
+            # take the slot and get the _sleep refused instead.
+            deadline = time.monotonic() + 5
+            while not registry.value("fleet.queue_depth"):
+                assert time.monotonic() < deadline, "the _sleep never arrived"
+                time.sleep(0.01)
             saw_backpressure = False
             deadline = time.monotonic() + 1.4
             with fleet.client() as client:
@@ -405,6 +419,7 @@ class TestRobustness:
             release.join(10)
             blocker.close()
         assert not release.is_alive()
+        assert errors == []
         # Slot freed: requests are admitted again.
         with fleet.client() as client:
             assert client.request("_sleep", seconds=0)["slept"] == 0.0

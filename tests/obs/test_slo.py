@@ -11,7 +11,6 @@ from repro.obs.slo import (
     FAST_BURN,
     Objective,
     SloEngine,
-    check_loadgen_slo,
     parse_objective,
     parse_objectives,
 )
@@ -50,7 +49,7 @@ def test_parse_objective_fraction_availability():
 
 @pytest.mark.parametrize("spec", [
     "noseparator", "place:", "place:p99", "place:avail=99",
-    "place:p99=abc", "place:bogus=1",
+    "place:p99=abc", "place:bogus=1", "place:p99=nan", "place:p99=inf",
 ])
 def test_parse_objective_rejects(spec):
     with pytest.raises(ValueError):
@@ -65,6 +64,8 @@ def test_parse_objectives_rejects_duplicates():
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective("place", p99_ms=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Objective("place", p99_ms=float("nan"))
     with pytest.raises(ValueError):
         Objective("place", p99_ms=1.0, availability=1.5)
     assert Objective("place", p99_ms=1.0).error_budget > 0
@@ -174,18 +175,3 @@ def test_merge_slo_docs_worst_alert_wins():
 def test_merge_slo_docs_all_disabled():
     assert merge_slo_docs({"m0": {"enabled": False}})["enabled"] is False
 
-
-# --------------------------------------------------------------- loadgen
-def test_check_loadgen_slo_latency_violation():
-    objectives = (Objective("place", p99_ms=1.0),)
-    violations = check_loadgen_slo(objectives, {"p99_ms": 5.0})
-    assert len(violations) == 1 and "p99" in violations[0]
-    assert check_loadgen_slo(objectives, {"p99_ms": 0.5}) == []
-
-
-def test_check_loadgen_slo_availability_violation():
-    objectives = (Objective("place", p99_ms=1e9, availability=0.999),)
-    doc = {"p99_ms": 0.1, "n_place_frames": 90, "n_infer_frames": 10,
-           "frame_errors": 5}
-    violations = check_loadgen_slo(objectives, doc)
-    assert len(violations) == 1 and "availability" in violations[0]

@@ -142,12 +142,26 @@ class TestErrors:
 
     def test_backpressure(self, daemon_factory):
         harness = daemon_factory(max_pending=1, request_timeout=10.0)
+        registry = harness.daemon.obs.registry
         blocker = harness.client(timeout=10.0).connect()
-        release = threading.Thread(
-            target=lambda: blocker.request("_sleep", seconds=1.5)
-        )
+        errors: list[Exception] = []
+
+        def block() -> None:
+            try:
+                blocker.request("_sleep", seconds=1.5)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        release = threading.Thread(target=block)
         release.start()
         try:
+            # Probe only once the _sleep holds the one slot (it is
+            # counted at admission); a probe sent earlier could take the
+            # slot and get the _sleep refused instead.
+            deadline = time.monotonic() + 5
+            while not registry.value("service.requests._sleep"):
+                assert time.monotonic() < deadline, "the _sleep never arrived"
+                time.sleep(0.01)
             saw_backpressure = False
             deadline = time.monotonic() + 1.4
             with harness.client() as client:
@@ -160,8 +174,10 @@ class TestErrors:
                     time.sleep(0.01)
             assert saw_backpressure, "queue-full never produced backpressure"
         finally:
-            release.join()
+            release.join(10)
             blocker.close()
+        assert not release.is_alive()
+        assert errors == []
         # Slot freed: requests are admitted again.
         with harness.client() as client:
             assert client.ping()["pong"] is True

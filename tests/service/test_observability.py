@@ -138,6 +138,31 @@ class TestExemplars:
         families = parse_exposition(text)
         assert "mctop_service_latency_place_bucket" in families
 
+    def test_slowest_exemplars_resolve_through_the_trace_verb(
+        self, harness
+    ):
+        """Latency exemplars name the slowest requests, and the two
+        slowest fetch their full traces through the ``trace`` verb."""
+        with harness.client() as client:
+            client.request("infer", **BASE)
+            for threads in (2, 3, 4):
+                client.request("place", policy="CON_HWC", threads=threads,
+                               **BASE)
+            snapshot = client.metrics()["registry"]
+            exemplars = sorted(
+                ((seconds, rid, name[len("service.latency."):])
+                 for name, snap in snapshot.items()
+                 if name.startswith("service.latency.")
+                 for seconds, rid in snap.get("exemplars", [])),
+                reverse=True,
+            )
+            assert {verb for _, _, verb in exemplars} >= {"infer", "place"}
+            for _, rid, verb in exemplars[:2]:
+                doc = client.trace(rid)
+                assert doc["found"] is True
+                assert doc["record"]["request_id"] == rid
+                assert doc["record"]["verb"] == verb
+
 
 class TestLastRequestIds:
     def test_split_place_many_keeps_every_sub_batch_id(self, harness):

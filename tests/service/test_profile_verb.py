@@ -9,6 +9,7 @@ the request id printed by ``mctop top`` pastes straight into
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -142,60 +143,39 @@ class TestProfilerMetrics:
         assert "mctop_profiler_samples_total" not in doc["prometheus"]
 
 
-class TestLoadgenProfileCollection:
-    def test_collect_profile_from_profiled_daemon(self, daemon_factory):
-        from repro.service.client import MctopClient
-        from repro.service.loadgen import collect_profile
-
-        harness = daemon_factory(profile=True, profile_hz=400.0)
-
-        def make_client():
-            return MctopClient(unix_path=harness.config.unix_path,
-                               timeout=30.0)
-
-        with make_client() as client:
-            client.infer("testbox", seed=5)
-            _wait_for_samples(client)
-        doc = collect_profile(make_client)
-        assert doc["format"] == "mctop-loadgen-profile"
-        assert doc["profile"]["enabled"] is True
-        assert doc["profile"]["samples"] >= 1
-
-    def test_collect_profile_degrades_without_flag(self, harness):
-        from repro.service.client import MctopClient
-        from repro.service.loadgen import collect_profile
-
-        def make_client():
-            return MctopClient(unix_path=harness.config.unix_path,
-                               timeout=30.0)
-
-        doc = collect_profile(make_client)
-        assert doc["profile"]["enabled"] is False
-
-
 class TestProfilerOverhead:
     def test_profiled_throughput_within_budget(self, daemon_factory):
-        """A lenient in-suite version of CI's 95% gate: the profiler at
-        100 Hz must not cost more than ~30% of place throughput (wide
-        margin against CI noise; the strict gate runs in the workflow)."""
-        from repro.service.client import MctopClient
-        from repro.service.loadgen import LoadgenConfig, run_loadgen
+        """With the profiler at 100 Hz a daemon must still answer at
+        least 70% of the ``place_many`` queries an unprofiled one
+        answers at a 40,000 queries/s target (a wide margin against
+        noise).  CI's profile smoke gates the sampler's own
+        ``overhead_fraction``; this test also covers the per-request
+        tagging (``begin_dispatch``/``end_dispatch``), which that gauge
+        leaves out."""
+        from repro.place.policies import ALL_POLICIES
+
+        rng = random.Random(1)
+        queries = [{"policy": rng.choice(ALL_POLICIES).value,
+                    "threads": rng.randrange(1, 9)}  # testbox: 8 contexts
+                   for _ in range(256)]
+        params = dict(include_stats=False, seed=1, repetitions=15)
 
         def run(**overrides) -> float:
+            """Queries answered per second by 256-query ``place_many``
+            frames paced at 40,000 queries/s for a fixed 1.2 s; a frame
+            that falls behind its slot goes out at once."""
             harness = daemon_factory(**overrides)
-
-            def make_client():
-                return MctopClient(unix_path=harness.config.unix_path,
-                                   timeout=30.0)
-
-            config = LoadgenConfig(
-                machine="testbox", duration=1.2, rate=40_000.0,
-                batch=256, workers=2, mix={"place": 1.0},
-                repetitions=15, warmup=0.2,
-            )
-            report = run_loadgen(config, make_client)
-            assert report["frame_errors"] == 0
-            return report["place_qps"]
+            answered = 0
+            with harness.client() as client:
+                client.place_many("testbox", queries, **params)  # warm-up
+                start = time.perf_counter()
+                while (elapsed := time.perf_counter() - start) < 1.2:
+                    doc = client.place_many("testbox", queries, **params)
+                    assert not [r for r in doc["results"] if "error" in r]
+                    answered += doc["n_queries"]
+                    time.sleep(max(0.0, start + answered / 40_000.0
+                                   - time.perf_counter()))
+            return answered / elapsed
 
         baseline = run()
         profiled = run(profile=True, profile_hz=100.0)

@@ -284,30 +284,3 @@ class TestFuzz:
         )
         assert json.loads(out_a)["digest"] == json.loads(out_b)["digest"]
 
-
-class TestBenchFuzz:
-    def test_fuzz_mode_records_history(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, _ = run_cli(
-            capsys, "bench", "--fuzz", "--fuzz-count", "3", "--quick",
-        )
-        assert code == 0
-        assert "machines/s" in out
-        doc = json.loads((tmp_path / "BENCH_FUZZ.json").read_text())
-        stats = doc["machines"][0]["modes"]["fuzz"]
-        assert stats["machines_per_sec"] > 0
-        history = (tmp_path / "BENCH_HISTORY.jsonl").read_text()
-        record = json.loads(history.splitlines()[0])
-        assert record["mode"] == "fuzz"
-        assert record["machines_per_sec"] == stats["machines_per_sec"]
-
-    def test_fuzz_mode_joins_the_gate(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        run_cli(capsys, "bench", "--fuzz", "--fuzz-count", "2", "--quick")
-        code, out, _ = run_cli(
-            capsys, "bench", "--replay", "BENCH_FUZZ.json",
-            "--compare", "BENCH_HISTORY.jsonl",
-            "--compare-metric", "machines_per_sec",
-        )
-        assert code == 0
-        assert "gate: ok" in out
