@@ -56,11 +56,14 @@ class DvfsState:
     def is_max(self, core: int) -> bool:
         return self._warmth[core] > 0.995
 
-    # Batched measurement support: the vectorized probe advances the
-    # warmth recurrence outside this class (hoisting the per-call
-    # ``math.exp``), so it needs raw access to the state and the exact
-    # per-step decay factor.  ``run_busy`` and these helpers MUST stay
-    # bit-for-bit consistent — the golden-topology fixtures pin it.
+    # Batched measurement support: the probes' sampling loops
+    # (``MeasurementContext.sample_pair_latencies`` and the pair
+    # scheme's ``PairSampler``) advance the warmth recurrence outside
+    # this class, with the per-step ``math.exp`` hoisted, so they need
+    # raw access to the state and the exact per-step decay factor.  The
+    # sequential loop also inlines ``factor_from_warmth``'s arithmetic.
+    # ``run_busy``, ``factor`` and these helpers MUST stay bit-for-bit
+    # consistent with those loops — the golden-topology fixtures pin it.
     def warmth_of(self, core: int) -> float:
         """Raw ramp state of a core (0 = cold, 1 = fully ramped)."""
         return self._warmth[core]

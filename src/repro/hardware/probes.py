@@ -187,51 +187,92 @@ class MeasurementContext:
         """``n`` Figure-5 samples for one pair as a single array.
 
         Produces bit-for-bit the values ``n`` consecutive
-        :meth:`sample_pair_latency` calls would, while paying the
-        expensive per-sample machinery only once per batch:
+        :meth:`sample_pair_latency` calls would, and leaves the shared
+        generator, the DVFS state and ``samples_taken`` exactly where
+        they would leave them, from one loop whose only calls are the
+        generator draws:
 
         * the MESI transaction is priced through the coherence
           simulator once — in the absence of contention the protocol is
           deterministic (Observation 1), so every later lock-step CAS
           on the same line costs exactly the same cycles (and leaves
           the line in the same MODIFIED-at-``x`` state);
-        * the DVFS warmth recurrence is advanced inline with a hoisted
-          decay constant instead of two ``run_busy`` calls per sample;
-        * the rdtsc and noise draws still come one-per-sample from the
-          shared generator, preserving the exact RNG consumption order
-          the golden-topology fixtures pin down.
+        * the DVFS factor (:meth:`DvfsState.factor_from_warmth`) and the
+          warmth recurrence (:meth:`DvfsState.run_busy`) are inlined,
+          with the frequency range and the per-step decay hoisted;
+        * the rdtsc read cost (:meth:`VirtualTsc.read_cost`) and the
+          noise (:meth:`NoiseSource.sample`) are drawn inline from the
+          generator both were built on, in their order: the rdtsc
+          normal, the jitter normal, the spike uniform, then the
+          exponential when the sample spikes.  That order is what the
+          golden-topology fixtures pin down.
         """
         line = self.fresh_line() if line_id is None else line_id
         true = self.coherence.probe_pair_rfo(requester=x, owner=y, line_id=line)
         cx = self.machine.core_of(x)
         cy = self.machine.core_of(y)
-        decay = DvfsState.busy_decay(_SAMPLE_BUSY_CYCLES)
-        wx = self.dvfs.warmth_of(cx)
-        wy = self.dvfs.warmth_of(cy)
         same_core = cx == cy
-        factor = self.dvfs.factor_from_warmth
-        tsc_overhead = self.tsc.measurement_overhead
-        noise = self.noise.sample
+        dvfs = self.dvfs
+        f_min = dvfs.spec.freq_min_ghz
+        f_max = dvfs.spec.freq_max_ghz
+        f_span = f_max - f_min
+        decay = DvfsState.busy_decay(_SAMPLE_BUSY_CYCLES)
+        wx = dvfs.warmth_of(cx)
+        wy = dvfs.warmth_of(cy)
+        local = _DVFS_PENALTY_LOCAL
+        remote = _DVFS_PENALTY_REMOTE
+        tsc_base = self.tsc.overhead
+        tsc_jitter = self.tsc.jitter
+        tsc_drawn = tsc_jitter > 0
+        profile = self.noise.profile
+        noisy = profile.enabled
+        sigma = profile.jitter_sigma
+        spike_prob = profile.spurious_prob
+        spike_scale = profile.spurious_scale
+        # normal(0.0, s) is 0.0 + s * standard_normal(): the same draw,
+        # and for s > 0 the same value, without normal()'s per-call
+        # argument checks.  The rdtsc scale is > 0 whenever it is drawn;
+        # a noise scale that is not keeps normal(), and with it numpy's
+        # own handling of such a scale.
+        sigma_scales = sigma > 0
+        standard_normal = self._rng.standard_normal
+        normal = self._rng.normal
+        uniform = self._rng.random
+        exponential = self._rng.exponential
         out = np.empty(n)
         for i in range(n):
-            cold_x = factor(wx) - 1.0
-            cold_y = cold_x if same_core else factor(wy) - 1.0
-            measured = (
-                true
-                + cold_x * _DVFS_PENALTY_LOCAL
-                + cold_y * _DVFS_PENALTY_REMOTE
-                + tsc_overhead()
-                + noise()
-            )
-            out[i] = max(measured, 0.0)
+            cold_x = f_max / (f_min + f_span * wx) - 1.0
+            if same_core:
+                cold_y = cold_x
+            else:
+                cold_y = f_max / (f_min + f_span * wy) - 1.0
+            if tsc_drawn:
+                tsc = tsc_base + tsc_jitter * standard_normal()
+                if not tsc > 0.0:  # max(0.0, tsc)
+                    tsc = 0.0
+            else:
+                tsc = tsc_base
+            if noisy:
+                if sigma_scales:
+                    noise = sigma * standard_normal()
+                else:
+                    noise = normal(0.0, sigma)
+                if uniform() < spike_prob:
+                    noise += exponential(spike_scale)
+            else:
+                noise = 0.0
+            measured = true + cold_x * local + cold_y * remote + tsc + noise
+            if measured < 0.0:  # max(measured, 0.0)
+                measured = 0.0
+            out[i] = measured
             wx = 1.0 - (1.0 - wx) * decay
             if same_core:
                 wx = 1.0 - (1.0 - wx) * decay
             else:
                 wy = 1.0 - (1.0 - wy) * decay
-        self.dvfs.set_warmth(cx, wx)
+        dvfs.set_warmth(cx, wx)
         if not same_core:
-            self.dvfs.set_warmth(cy, wy)
+            dvfs.set_warmth(cy, wy)
         self.samples_taken += n
         return out
 

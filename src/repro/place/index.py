@@ -2,10 +2,14 @@
 
 Placement orderings are pure functions of the topology, so a service
 that answers placement queries per-request is recomputing constants.
-A :class:`PlacementIndex` materializes the answer for every policy of
-Table 2 across the useful ``n_threads``/``n_sockets`` grid once — at
-cache-insert time in ``mctopd``, or on first use through the facade —
-and turns each query into one dict probe.
+A :class:`PlacementIndex` works out the ordering and the max latency
+of every policy of Table 2 across the useful ``n_threads``/
+``n_sockets`` grid once — at cache-insert time in ``mctopd``, or on
+first use through the facade — and turns each query into one dict
+probe.  The build stores only those two; an entry's Figure-7 stats
+block is rendered on that key's first lookup and stored back in the
+entry, so a build renders no stats block and an index nobody queries
+(a cold ``infer`` with no ``place`` after it) never renders one.
 
 Byte-identity with the legacy compute path is the contract: orderings
 come from the same `repro.place.policies` helpers and stats strings
@@ -124,10 +128,13 @@ class PlacementIndex:
         #: (policy, n_sockets) -> full-length ordering, for the
         #: prefix-sliceable policies.
         self._full: dict[tuple[str, int], list[int]] = {}
-        #: (policy, n_threads, n_sockets) -> (ordering | None, stats,
-        #: max_latency); ``None`` orderings slice ``_full`` on lookup.
+        #: (policy, n_threads, n_sockets) -> (ordering | None,
+        #: stats | None, max_latency); ``None`` orderings slice
+        #: ``_full`` on lookup, and a ``None`` stats block is rendered
+        #: on the key's first lookup and stored back.
         self._entries: dict[tuple[str, int, int],
-                            tuple[tuple[int, ...] | None, str, int]] = {}
+                            tuple[tuple[int, ...] | None, str | None,
+                                  int]] = {}
         #: policy -> error message, for policies this machine cannot
         #: serve (POWER without RAPL, RR_SCALE without memory data).
         self._unavailable: dict[str, str] = {}
@@ -200,9 +207,8 @@ class PlacementIndex:
                         )
                     else:
                         max_lat = 0
-                    stats = self._render(policy, ordering, max_lat)
                     staged[(policy.value, nt, ns)] = (
-                        tuple(ordering), stats, max_lat,
+                        tuple(ordering), None, max_lat,
                     )
             else:
                 full = _order_for(mctop, policy, sub_chain, None)
@@ -216,34 +222,16 @@ class PlacementIndex:
                 prefix_max = np.maximum.accumulate(
                     np.triu(sub, 1).max(axis=0)
                 )
-                sockets: list[int] = []
-                ctxps: dict[int, int] = {}
-                cps: dict[int, int] = {}
-                seen_cores: set[int] = set()
                 for nt in range(1, cap + 1):
-                    ctx = full[nt - 1]
-                    s = mctop.socket_of_context(ctx)
-                    core = mctop.core_of_context(ctx)
-                    if s not in ctxps:
-                        sockets.append(s)
-                        ctxps[s] = 0
-                        cps[s] = 0
-                    ctxps[s] += 1
-                    if core not in seen_cores:
-                        seen_cores.add(core)
-                        cps[s] += 1
-                    max_lat = int(prefix_max[nt - 1])
-                    stats = render_stats(
-                        mctop, policy, full[:nt],
-                        sockets=sockets, ctxps=ctxps, cps=cps,
-                        n_cores=len(seen_cores), max_latency=max_lat,
-                        socket_sizes=self._socket_sizes,
+                    staged[(policy.value, nt, ns)] = (
+                        None, None, int(prefix_max[nt - 1]),
                     )
-                    staged[(policy.value, nt, ns)] = (None, stats, max_lat)
                 full_out[(policy.value, ns)] = full
 
-    def _render(self, policy: Policy, ordering: list[int],
+    def _render(self, policy: Policy, ordering: tuple[int, ...],
                 max_lat: int) -> str:
+        """The Figure-7 stats block of one entry, through the shared
+        :func:`~repro.place.placement.render_stats`."""
         mctop = self.mctop
         sockets: list[int] = []
         ctxps: dict[int, int] = {}
@@ -297,6 +285,12 @@ class PlacementIndex:
         ordering, stats, max_lat = entry
         if ordering is None:
             ordering = tuple(self._full[(key[0], key[2])][:key[1]])
+        if stats is None:
+            # The key's first lookup renders its stats block and stores
+            # it back; one dict assignment, so no lock: two threads
+            # racing here render the same bytes twice.
+            stats = self._render(Policy(key[0]), ordering, max_lat)
+            self._entries[key] = (entry[0], stats, max_lat)
         return PlacementResult(
             policy=key[0], ordering=ordering, stats=stats,
             max_latency=max_lat,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import uuid
 from collections import OrderedDict
 from pathlib import Path
 
@@ -94,6 +95,18 @@ def _digest(machine: str, seed: int, table: LatencyTableConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _write_store_file(path: Path, mctop: Mctop) -> None:
+    """Write one store entry.  Write-then-rename, so a concurrent reader
+    never sees a partially written description file; the temporary name
+    is unique, so two writers of one digest (two daemons sharing the
+    store, or a drift baseline landing beside a client's infer) never
+    write into the same temporary file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp.gz")
+    save_mctop(mctop, tmp)
+    tmp.replace(path)
+
+
 class InferenceCache:
     """Memory LRU in front of an optional on-disk ``.mct.gz`` store."""
 
@@ -150,15 +163,26 @@ class InferenceCache:
         return None
 
     def put(self, key: str, mctop: Mctop) -> None:
+        """Insert into the memory LRU, then write the store file.
+
+        The write blocks for as long as serializing, compressing and
+        writing the topology take (tens of milliseconds for the big
+        machines); on an event loop use :meth:`put_async`.
+        """
         self._insert_memory(key, mctop)
         path = self._disk_path(key)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Write-then-rename so a concurrent reader never sees a
-            # partially written description file.
-            tmp = path.with_name(path.name + ".tmp.gz")
-            save_mctop(mctop, tmp)
-            tmp.replace(path)
+            _write_store_file(path, mctop)
+            self.obs.counter("service.cache.disk_writes").inc()
+
+    async def put_async(self, key: str, mctop: Mctop) -> None:
+        """:meth:`put` for the daemon's event loop: the memory insert
+        runs on the loop, the store write in a worker thread, so the
+        loop keeps answering frames while the file is written."""
+        self._insert_memory(key, mctop)
+        path = self._disk_path(key)
+        if path is not None:
+            await asyncio.to_thread(_write_store_file, path, mctop)
             self.obs.counter("service.cache.disk_writes").inc()
 
     def ensure_index(self, key: str, mctop: Mctop) -> "PlacementIndex":

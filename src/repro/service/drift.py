@@ -171,7 +171,7 @@ class DriftWatcher:
                     # First sight of this machine: the fresh topology
                     # becomes the durable baseline; by definition no
                     # drift yet.
-                    self.cache.put(state.key, fresh)
+                    await self.cache.put_async(state.key, fresh)
                     report = compare_mctops(fresh, fresh, self.thresholds)
                     self._emit("drift.baseline", machine=machine,
                                key=state.key)

@@ -5,7 +5,9 @@ Handlers are deliberately thin: parameter validation, a cache /
 single-flight lookup for anything needing a topology, then a plain
 JSON-compatible result dict.  Expensive MCTOP-ALG runs execute in a
 worker thread (``asyncio.to_thread``) so the event loop keeps serving
-cache hits and metrics while an inference is in flight.
+cache hits and metrics while an inference is in flight; so do the
+store write that follows (:meth:`InferenceCache.put_async`) and the
+placement-index build.
 
 Session state (the per-connection :class:`PlacementPool` of the
 ``pool_switch`` verb) lives in :class:`Session`, one per client
@@ -310,7 +312,7 @@ class Handlers:
                         self._peer_fetch_sync, key
                     )
                 if peer_mctop is not None:
-                    self.cache.put(key, peer_mctop)
+                    await self.cache.put_async(key, peer_mctop)
                     await self._precompute_index(key, peer_mctop)
                     return peer_mctop
             with self.obs.span("service.infer_run", machine=machine,
@@ -324,7 +326,7 @@ class Handlers:
                         self._infer_sync, machine, seed, table
                     )
             self.obs.counter("service.inference.runs").inc()
-            self.cache.put(key, mctop)
+            await self.cache.put_async(key, mctop)
             await self._precompute_index(key, mctop)
             return mctop
 

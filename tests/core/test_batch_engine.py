@@ -21,7 +21,7 @@ from repro.core.algorithm.lat_table import (
     collect_latency_table,
 )
 from repro.errors import ConfigError, MctopError, ReproError
-from repro.hardware import MeasurementContext, get_machine
+from repro.hardware import MeasurementContext, NoiseProfile, get_machine
 from repro.hardware.probes import PairSampler
 
 
@@ -50,18 +50,76 @@ def test_sequential_vectorized_equals_scalar(machine):
     _assert_results_equal(vec, sca)
 
 
-def test_probe_batch_equals_scalar_samples():
-    """sample_pair_latencies is bit-identical to n scalar calls."""
-    a = MeasurementContext(get_machine("testbox"), seed=9)
-    b = MeasurementContext(get_machine("testbox"), seed=9)
-    for x, y in [(0, 1), (0, 4), (2, 3)]:
+def _oracle_pairs(machine):
+    """A same-core pair when the machine has SMT, then a same-socket
+    pair on another core and a cross-socket pair."""
+    n = machine.spec.n_contexts
+    core = machine.core_of
+    socket = machine.socket_of
+    pairs = [(0, y) for y in range(1, n) if core(y) == core(0)][:1]
+    pairs += [(0, y) for y in range(1, n)
+              if core(y) != core(0) and socket(y) == socket(0)][:1]
+    pairs += [(1, y) for y in range(2, n) if socket(y) != socket(1)][-1:]
+    return pairs
+
+
+#: case -> (MeasurementContext keywords, warm the cores first,
+#: VirtualTsc attributes to set)
+_ORACLE_CASES = {
+    # Warm cores: the DVFS factor is ~1 and noise dominates.
+    "warm": ({}, True, {}),
+    # Cold cores: every sample moves the DVFS trajectory.
+    "cold": ({}, False, {}),
+    # Background activity: spike-heavy, so the exponential is drawn often.
+    "not_solo": ({"solo": False}, False, {}),
+    # No noise draws at all; only the rdtsc normal.
+    "quiet": ({"noise": NoiseProfile.quiet()}, False, {}),
+    # An exact TSC: no rdtsc draw, only the noise.
+    "exact_tsc": ({}, False, {"jitter": 0.0}),
+    # Noise wider than any latency and an rdtsc cost near zero, so both
+    # max(·, 0.0) clamps fire.
+    "clamped": ({"noise": NoiseProfile(jitter_sigma=400.0)}, False,
+                {"overhead": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("machine_name", ["testbox", "opteron", "ivy"])
+def test_probe_batch_equals_scalar_samples(machine_name, case):
+    """sample_pair_latencies is n scalar sample_pair_latency calls, bit
+    for bit: the same samples, the same samples_taken, the same DVFS
+    warmth on every core, and the same generator state afterwards —
+    equal state shows the same draws were consumed in the same order.
+    testbox and ivy have SMT, so their first pair is a same-core pair."""
+    kwargs, warm, tsc_attrs = _ORACLE_CASES[case]
+    machine = get_machine(machine_name)
+    pairs = _oracle_pairs(machine)
+    if machine.spec.n_contexts > machine.spec.n_cores:
+        assert machine.core_of(pairs[0][0]) == machine.core_of(pairs[0][1])
+    a = MeasurementContext(machine, seed=9, **kwargs)
+    b = MeasurementContext(machine, seed=9, **kwargs)
+    for probe in (a, b):
+        for attr, value in tsc_attrs.items():
+            setattr(probe.tsc, attr, value)
+        if warm:
+            for ctx in sorted({c for pair in pairs for c in pair}):
+                probe.warm_up(ctx)
+    n = 75
+    for x, y in pairs:
         line_a, line_b = a.fresh_line(), b.fresh_line()
         scalar = np.array(
-            [a.sample_pair_latency(x, y, line_a) for _ in range(50)]
+            [a.sample_pair_latency(x, y, line_a) for _ in range(n)]
         )
-        batch = b.sample_pair_latencies(x, y, 50, line_id=line_b)
-        assert np.array_equal(scalar, batch)
-    assert a.samples_taken == b.samples_taken
+        batch = b.sample_pair_latencies(x, y, n, line_id=line_b)
+        assert batch.dtype == scalar.dtype and batch.shape == (n,)
+        assert batch.tobytes() == scalar.tobytes(), (x, y)
+        if case == "clamped":
+            assert (batch == 0.0).any()
+    assert a.samples_taken == b.samples_taken == n * len(pairs)
+    cores = range(machine.spec.n_cores)
+    assert [a.dvfs.warmth_of(c) for c in cores] == \
+        [b.dvfs.warmth_of(c) for c in cores]
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
 
 # ------------------------------------------------- pair-seeded scheme

@@ -185,3 +185,38 @@ def test_figure5_protocol_subtracts_overhead(testbox):
     result = collect_latency_table(probe, LatencyTableConfig(repetitions=9))
     true = testbox.comm_latency(3, 7)
     assert abs(result.table[3, 7] - true) < 3  # not true + 24
+
+
+class TestMedian:
+    """``_median`` is ``float(np.median(a))`` bit for bit: the stability
+    verdict, and so every golden, rests on the median's exact value."""
+
+    @staticmethod
+    def _bits(value: float) -> bytes:
+        return np.float64(value).tobytes()
+
+    def test_matches_np_median_bit_for_bit(self):
+        from repro.core.algorithm.lat_table import _median
+
+        rng = np.random.default_rng(11)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for size in list(range(1, 12)) + [31, 74, 75, 76, 2000]:
+            for trial in range(40):
+                a = np.round(rng.normal(100.0, 5.0, size), trial % 3)
+                if trial % 4 == 1:
+                    a[rng.integers(0, size, 1 + size // 4)] = 0.0
+                    a[rng.integers(0, size, 1 + size // 4)] = -0.0
+                elif trial % 4 == 2:
+                    picks = rng.integers(0, size, 1 + size // 10)
+                    a[picks] = rng.choice(specials, picks.size)
+                got = _median(a)
+                want = float(np.median(a))
+                assert self._bits(got) == self._bits(want), (size, trial)
+
+    def test_leaves_the_samples_untouched(self):
+        from repro.core.algorithm.lat_table import _median
+
+        a = np.random.default_rng(2).normal(50.0, 3.0, 75)
+        before = a.copy()
+        _median(a)
+        assert a.tobytes() == before.tobytes()

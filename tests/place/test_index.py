@@ -11,6 +11,7 @@ along.
 from __future__ import annotations
 
 import gzip
+import importlib
 import json
 from pathlib import Path
 
@@ -96,6 +97,49 @@ class TestByteIdentity:
         assert index.prebuilt
         assert index.lookup(Policy.RR_CORE, 4) is not None
         assert index.lookup("CON_HWC") is not None  # defaults to capacity
+
+
+class TestLazyStats:
+    """The build stores orderings and max latencies only; an entry's
+    stats block is rendered on its key's first lookup, once."""
+
+    @pytest.mark.parametrize("name", GOLDEN_MACHINES)
+    def test_every_grid_key_renders_the_eager_bytes(self, name):
+        mctop = golden_mctop(name)
+        index = PlacementIndex(mctop).build()
+        keys = list(index._entries)
+        assert keys
+        for policy, nt, ns in keys:
+            result = index.lookup(policy, nt, ns)
+            eager = Placement._from_ordering(
+                mctop, policy, result.ordering, result.max_latency
+            ).print_stats()
+            assert result.stats == eager, (name, policy, nt, ns)
+
+    def test_build_renders_nothing_and_each_key_renders_once(
+            self, monkeypatch):
+        # ``repro.place`` the attribute is the facade function, so
+        # the submodule comes from the import system.
+        index_module = importlib.import_module("repro.place.index")
+
+        rendered = []
+        real = index_module.render_stats
+
+        def counting(mctop, policy, ordering, **kwargs):
+            rendered.append((policy.value, len(ordering)))
+            return real(mctop, policy, ordering, **kwargs)
+
+        monkeypatch.setattr(index_module, "render_stats", counting)
+        index = PlacementIndex(golden_mctop("opteron")).build()
+        assert index.n_entries == 2376
+        assert rendered == []
+        # One prefix-sliced policy and one that stores its ordering.
+        for policy in ("RR_CORE", "BALANCE_CORE"):
+            first = index.lookup(policy, 8)
+            second = index.lookup(policy, 8)
+            assert rendered[-1] == (policy, 8)
+            assert second.stats is first.stats
+        assert len(rendered) == 2
 
 
 class TestLookupSemantics:

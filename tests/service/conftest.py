@@ -9,6 +9,7 @@ rather than a mock transport.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import threading
 
 import pytest
@@ -77,3 +78,25 @@ def daemon_factory(tmp_path):
 @pytest.fixture()
 def harness(daemon_factory) -> DaemonHarness:
     return daemon_factory()
+
+
+@pytest.fixture()
+def held_store_write(monkeypatch):
+    """Hold every store write until the test lets it go.
+
+    Yields ``(writing, release)``: ``writing`` is set once a write has
+    started, and the write goes on once ``release`` is set (or after
+    10 s, so a loop blocked by the write cannot hang the test).
+    """
+    cache_module = importlib.import_module("repro.service.cache")
+    writing, release = threading.Event(), threading.Event()
+    real_save = cache_module.save_mctop
+
+    def held_save(mctop, path):
+        writing.set()
+        release.wait(10)
+        return real_save(mctop, path)
+
+    monkeypatch.setattr(cache_module, "save_mctop", held_save)
+    yield writing, release
+    release.set()

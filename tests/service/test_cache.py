@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,37 @@ class TestInferenceCache:
         cache.put(key, testbox_mctop)
         cache.clear()
         assert cache.get(key) is not None
+
+    def test_put_async_writes_like_put(self, testbox_mctop, tmp_path):
+        cache = InferenceCache(store_dir=tmp_path / "store")
+        key = inference_key("testbox", 1, TABLE)
+        asyncio.run(cache.put_async(key, testbox_mctop))
+        assert cache.get(key) is testbox_mctop
+        assert cache.obs.registry.value("service.cache.disk_writes") == 1
+        cache.clear()
+        assert cache.get(key).n_contexts == testbox_mctop.n_contexts
+
+    def test_two_writes_of_one_digest_never_share_a_temporary_file(
+            self, testbox_mctop, tmp_path, monkeypatch):
+        """Store writes run in worker threads, so a drift baseline and a
+        client's infer (or two daemons on one store) can write the same
+        digest at once: each write goes through its own file."""
+        cache_module = importlib.import_module("repro.service.cache")
+        written = []
+        real_save = cache_module.save_mctop
+
+        def recording_save(mctop, path):
+            written.append(Path(path))
+            return real_save(mctop, path)
+
+        monkeypatch.setattr(cache_module, "save_mctop", recording_save)
+        cache = InferenceCache(store_dir=tmp_path)
+        key = inference_key("testbox", 1, TABLE)
+        cache.put(key, testbox_mctop)
+        cache.put(key, testbox_mctop)
+        assert len(set(written)) == 2
+        assert all(p.parent == tmp_path for p in written)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.mct.gz"]
 
 
 class TestSingleFlight:

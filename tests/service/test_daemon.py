@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,43 @@ class TestErrors:
         # Slot freed: requests are admitted again.
         with harness.client() as client:
             assert client.ping()["pong"] is True
+
+
+class TestStoreWrite:
+    def test_a_held_store_write_does_not_stall_the_loop(
+            self, daemon_factory, held_store_write):
+        """A cold infer writes its store file in a worker thread: while
+        the write is held, a ping on a second connection is answered,
+        and the file lands once the write goes on."""
+        writing, release = held_store_write
+        harness = daemon_factory()
+        results: list[dict] = []
+        errors: list[Exception] = []
+
+        def cold_infer() -> None:
+            try:
+                with harness.client() as client:
+                    results.append(client.infer("testbox", seed=6))
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        infer = threading.Thread(target=cold_infer)
+        infer.start()
+        try:
+            assert writing.wait(30), "the store write never started"
+            with harness.client(timeout=2.0) as client:
+                assert client.ping()["pong"] is True
+        finally:
+            release.set()
+            infer.join(30)
+        assert not infer.is_alive()
+        assert errors == []
+        assert results[0]["cached"] is False
+        store = Path(harness.config.store_dir)
+        assert sorted(p.name for p in store.iterdir()) == \
+            [f"{results[0]['key']}.mct.gz"]
+        assert harness.daemon.obs.registry.value(
+            "service.cache.disk_writes") == 1
 
 
 class TestCoalescing:

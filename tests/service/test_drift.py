@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -80,6 +81,32 @@ class TestWatcherUnit:
         assert watcher.cache.get(state.key) is not None
         assert watcher.worst_severity == "ok"
         assert not watcher.degraded
+
+    def test_first_baseline_is_written_off_the_loop(
+            self, tmp_path, held_store_write):
+        """The first check's store write runs in a worker thread: a
+        task on the same loop still runs while the write is held."""
+        writing, release = held_store_write
+        watcher = make_watcher(tmp_path)
+
+        async def scenario() -> bool:
+            check = asyncio.create_task(watcher.check_one("testbox"))
+            while not writing.is_set():
+                await asyncio.sleep(0.005)
+            ran_during_write = not release.is_set()
+            release.set()
+            await check
+            return ran_during_write
+
+        # A write held on the loop would block the loop until this.
+        unblock = threading.Timer(3.0, release.set)
+        unblock.start()
+        try:
+            assert asyncio.run(scenario())
+        finally:
+            unblock.cancel()
+        key = watcher.states["testbox"].key
+        assert (tmp_path / "store" / f"{key}.mct.gz").is_file()
 
     def test_second_check_against_untouched_baseline_is_ok(self, tmp_path):
         watcher = make_watcher(tmp_path)
