@@ -15,37 +15,43 @@ the paper's stabilization machinery is implemented:
   raised;
 * only the upper triangle is measured — the topology is symmetric.
 
-Collection comes in two sampling schemes:
+Collection is one loop, :func:`collect_latency_table`: one retry loop
+(:func:`_measure_pair`) per pair, one fold into the table and the
+instruments, one failure report.  A sampling scheme supplies only when
+contexts are warmed up and how an attempt's raw samples are drawn, as a
+generator of per-pair records in pair order:
 
 ``sequential``
-    The original engine: one RNG stream threaded through every pair in
-    measurement order.  This is what the golden-topology fixtures pin,
-    so it stays the default.  Within it, ``vectorized=True`` fetches
-    each attempt's samples as one array from
-    :meth:`MeasurementContext.sample_pair_latencies` (bit-identical to
-    the scalar loop, several times faster).
+    The original engine, pinned by the golden-topology fixtures and so
+    the default: one RNG stream threaded through every pair in
+    measurement order, each context warmed just before its first pair.
+    ``vectorized=True`` draws each attempt as one array
+    (:meth:`MeasurementContext.sample_pair_latencies`, bit-identical to
+    the scalar loop and several times faster).
 
 ``pair``
     The order-independent scheme of :mod:`repro.hardware.probes`: every
-    (pair, attempt) gets its own seeded substream and the DVFS state is
-    frozen at its post-warm-up snapshot, so pairs can be measured in
-    any order by any number of workers.  ``jobs=N`` fans chunked pair
-    lists out over ``concurrent.futures`` processes and merges the
-    records deterministically — the table is bit-identical for any
-    ``jobs`` value and for scalar vs vectorized sampling.
+    context is warmed first, then every (pair, attempt) gets its own
+    seeded substream from the frozen post-warm-up DVFS snapshot, so
+    pairs can be measured in any order by any number of workers.
+    ``jobs=N`` fans chunked pair lists out over ``concurrent.futures``
+    processes; the table is bit-identical for any ``jobs`` value and
+    for scalar vs vectorized sampling.
 
-The collection loop is fully instrumented through the probe's
+The loop is fully instrumented through the probe's
 :class:`~repro.obs.Observability`: samples taken, retried pairs,
 discarded spurious samples and per-pair stability all land in the
 metrics registry, and the whole step runs under a ``lat_table.collect``
-span with an instant event per retried pair.
+span with an instant event per retried pair and per failed pair.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import time
 from dataclasses import dataclass, field, fields
-from typing import Any
+from itertools import repeat
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -234,134 +240,110 @@ def _judge_attempt(
     return median, stdev, discarded, accepted
 
 
+class _PairRecord(NamedTuple):
+    """One pair's measurement outcome, as the retry loop hands it to the
+    fold.  Plain picklable data, so worker processes can send it back."""
+
+    x: int
+    y: int
+    median: float
+    stdev: float
+    retries: int
+    discarded: int  # spurious samples thrown away across all attempts
+    samples: int  # repetitions x attempts
+    failed: bool
+
+
 def _measure_pair(
-    probe: MeasurementContext,
-    x: int,
-    y: int,
-    overhead: float,
-    cfg: LatencyTableConfig,
-) -> tuple[float, float, int, int]:
-    """Median latency for one context pair (sequential scheme).
+    attempt: Callable[[int, int, int], np.ndarray],
+    x: int, y: int, overhead: float, cfg: LatencyTableConfig,
+) -> _PairRecord:
+    """The Section 3.2 retry loop for one pair, under either scheme.
 
-    Returns ``(median, stdev, retries, discarded)`` where ``discarded``
-    counts the spurious samples thrown away across all attempts.
+    ``attempt(x, y, retries)`` draws one attempt's raw samples (rdtsc
+    overhead still included).  While the attempt is unstable the
+    threshold doubles, up to ``max_stdev_threshold``.  Never raises: a
+    pair that cannot stabilize comes back as a ``failed`` record, and
+    :func:`collect_latency_table` reports it.
     """
     threshold = cfg.stdev_threshold
     retries = 0
     total_discarded = 0
     while True:
-        if cfg.vectorized:
-            line = probe.fresh_line()
-            samples = probe.sample_pair_latencies(
-                x, y, cfg.repetitions, line_id=line
-            ) - overhead
-        else:
-            line = probe.fresh_line()
-            samples = np.empty(cfg.repetitions)
-            for i in range(cfg.repetitions):
-                samples[i] = probe.sample_pair_latency(x, y, line) - overhead
+        samples = attempt(x, y, retries) - overhead
         median, stdev, discarded, accepted = _judge_attempt(
             samples, threshold, cfg
         )
         total_discarded += discarded
         if accepted:
-            return median, stdev, retries, total_discarded
+            break
         retries += 1
         threshold *= 2.0
         if threshold > cfg.max_stdev_threshold:
-            probe.obs.instant(
-                "lat_table.pair_failed", pair=[int(x), int(y)],
-                stdev=stdev, median=median,
-            )
-            raise MeasurementError(
-                f"pair ({x}, {y}) never stabilized: stdev {stdev:.1f} vs "
-                f"median {median:.1f} after {retries} retries — rerun "
-                "libmctop solo on the machine, possibly with different "
-                "settings (Section 3.5)"
-            )
+            break
+    attempts = retries + 1 if accepted else retries
+    return _PairRecord(x, y, median, stdev, retries, total_discarded,
+                       cfg.repetitions * attempts, not accepted)
 
 
 # ------------------------------------------------------------------------
-# Pair-seeded scheme: per-pair records, worker fan-out, deterministic merge.
+# The two sampling schemes: each yields its pairs' records in pair order.
 # ------------------------------------------------------------------------
 
 
-def _measure_pair_seeded(
-    sampler: PairSampler,
-    x: int,
-    y: int,
-    overhead: float,
-    cfg: LatencyTableConfig,
-) -> dict[str, Any]:
-    """One pair under the pair-seeded scheme, as a plain record.
+def _sequential_records(
+    probe: MeasurementContext, overhead: float, cfg: LatencyTableConfig
+) -> Iterator[_PairRecord]:
+    """Every pair measured in turn from the probe's one RNG stream.
 
-    Never raises: a pair that cannot stabilize is returned as a
-    ``failed`` record so worker processes hand failures back to the
-    parent, which reports them deterministically in pair order.
+    Lazy: a context is warmed up just before its first pair, and each
+    pair is measured only once the previous record has been folded, so
+    the shared stream sees the draws in the order the goldens pin.  The
+    probe counts its own samples.
     """
-    threshold = cfg.stdev_threshold
-    retries = 0
-    total_discarded = 0
-    samples_taken = 0
-    while True:
-        raw = sampler.sample_attempt(
-            x, y, cfg.repetitions, attempt=retries, vectorized=cfg.vectorized
-        )
-        samples_taken += cfg.repetitions
-        samples = raw - overhead
-        median, stdev, discarded, accepted = _judge_attempt(
-            samples, threshold, cfg
-        )
-        total_discarded += discarded
-        if accepted:
-            return {
-                "pair": (x, y),
-                "median": median,
-                "stdev": stdev,
-                "retries": retries,
-                "discarded": total_discarded,
-                "samples": samples_taken,
-                "failed": False,
-            }
-        retries += 1
-        threshold *= 2.0
-        if threshold > cfg.max_stdev_threshold:
-            return {
-                "pair": (x, y),
-                "median": median,
-                "stdev": stdev,
-                "retries": retries,
-                "discarded": total_discarded,
-                "samples": samples_taken,
-                "failed": True,
-            }
+    n = probe.n_hw_contexts()
+    reps = cfg.repetitions
+    if cfg.vectorized:
+        def attempt(x: int, y: int, retries: int) -> np.ndarray:
+            return probe.sample_pair_latencies(
+                x, y, reps, line_id=probe.fresh_line()
+            )
+    else:
+        def attempt(x: int, y: int, retries: int) -> np.ndarray:
+            line = probe.fresh_line()
+            return np.array([probe.sample_pair_latency(x, y, line)
+                             for _ in range(reps)])
+
+    for x in range(n):
+        for y in range(x, n):
+            # Row 0 meets every context first: warm each just before.
+            if cfg.warm_up and x == 0:
+                probe.warm_up(y, cfg.warmup_loop_iters)
+            if y > x:
+                yield _measure_pair(attempt, x, y, overhead, cfg)
 
 
 def _measure_pairs_chunk(
-    spec: PairProbeSpec,
-    pairs: list[tuple[int, int]],
-    overhead: float,
+    spec: PairProbeSpec, pairs: list[tuple[int, int]], overhead: float,
     cfg: LatencyTableConfig,
-) -> dict[str, Any]:
-    """Worker entry point: measure a chunk of pairs independently.
+) -> tuple[list[_PairRecord], float]:
+    """Measure a chunk of pairs under the pair-seeded scheme.
 
     Module level so :mod:`concurrent.futures` can pickle it; builds one
-    :class:`PairSampler` per worker invocation and returns plain
-    records for the parent to merge, plus the chunk's wall time so the
-    parent can stitch one sub-trace span per chunk into its tracer.
+    :class:`PairSampler` per invocation and returns the chunk's records
+    and its wall time in microseconds, so the parent can stitch one
+    sub-trace span per worker chunk into its tracer.
     """
-    import time
-
     start = time.perf_counter()
     sampler = PairSampler(spec)
-    records = [
-        _measure_pair_seeded(sampler, x, y, overhead, cfg) for x, y in pairs
-    ]
-    return {
-        "records": records,
-        "dur_us": (time.perf_counter() - start) * 1e6,
-        "n_pairs": len(pairs),
-    }
+
+    def attempt(x: int, y: int, retries: int) -> np.ndarray:
+        return sampler.sample_attempt(
+            x, y, cfg.repetitions, attempt=retries, vectorized=cfg.vectorized
+        )
+
+    records = [_measure_pair(attempt, x, y, overhead, cfg) for x, y in pairs]
+    return records, (time.perf_counter() - start) * 1e6
 
 
 def _chunk_pairs(
@@ -372,136 +354,65 @@ def _chunk_pairs(
     return [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
 
 
-def _collect_pair_seeded(
-    probe: MeasurementContext, cfg: LatencyTableConfig
-) -> LatencyTableResult:
-    """The pair-seeded collection loop, optionally fanned out.
+def _pair_seeded_records(
+    probe: MeasurementContext, overhead: float, cfg: LatencyTableConfig
+) -> Iterator[_PairRecord]:
+    """Every pair measured from its own seeded substream.
 
-    Warm-up and rdtsc calibration run sequentially on the parent probe
-    (they consume its shared RNG stream); sampling then proceeds from
-    the frozen :meth:`~MeasurementContext.batch_spec` snapshot, in
-    process when ``jobs=1`` or over a process pool otherwise.  Records
-    are merged in pair order, so metrics, retry events and the first
-    reported failure are identical for every ``jobs`` value.
+    Every context is warmed up first (on the probe's shared stream);
+    sampling then proceeds from the frozen
+    :meth:`~MeasurementContext.batch_spec` snapshot, in process as one
+    chunk when ``jobs=1`` or over a process pool otherwise.  Records
+    come back in pair order whatever ``jobs`` is, and each record's
+    samples are added to the probe's count as it is yielded.
     """
-    obs = probe.obs
     n = probe.n_hw_contexts()
-    table = np.zeros((n, n))
-    stdevs = np.zeros((n, n))
-    start_samples = probe.samples_taken
-    retried = 0
-    discarded_total = 0
-
-    pair_counter = obs.counter("lat_table.pairs")
-    retry_counter = obs.counter("lat_table.retries")
-    discard_counter = obs.counter("lat_table.discarded_samples")
-    discard_hist = obs.histogram("lat_table.discard_fraction")
-    stdev_hist = obs.histogram("lat_table.pair_stdev")
-
-    with obs.span("lat_table.collect", n_contexts=n,
-                  repetitions=cfg.repetitions):
-        overhead = probe.estimate_tsc_overhead()
-        obs.gauge("lat_table.tsc_overhead").set(overhead)
-
-        if cfg.warm_up:
-            for ctx in range(n):
-                probe.warm_up(ctx, cfg.warmup_loop_iters)
-
-        spec = probe.batch_spec()
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-
-        if cfg.jobs > 1:
-            chunks = _chunk_pairs(pairs, cfg.jobs)
-            pool_start_us = obs.tracer._now_us()
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.jobs
-            ) as pool:
-                chunk_results = list(
-                    pool.map(
-                        _measure_pairs_chunk,
-                        (spec for _ in chunks),
-                        chunks,
-                        (overhead for _ in chunks),
-                        (cfg for _ in chunks),
-                    )
-                )
-            # Stitch one child span per worker chunk into the parent
-            # trace.  Adopted spans ride along in exports only — the
-            # deterministic summary stays identical to a jobs=1 run.
-            for index, chunk in enumerate(chunk_results):
-                obs.tracer.adopt_span(
-                    "lat_table.worker_chunk",
-                    dur_us=chunk["dur_us"],
-                    start_us=pool_start_us,
-                    worker=index % cfg.jobs,
-                    chunk=index,
-                    n_pairs=chunk["n_pairs"],
-                )
-            records = [
-                rec for chunk in chunk_results for rec in chunk["records"]
-            ]
-        else:
-            sampler = PairSampler(spec)
-            records = [
-                _measure_pair_seeded(sampler, x, y, overhead, cfg)
-                for x, y in pairs
-            ]
-
-        for rec in records:  # already in pair order: merge is deterministic
-            x, y = rec["pair"]
-            probe.samples_taken += rec["samples"]
-            if rec["failed"]:
-                obs.instant(
-                    "lat_table.pair_failed", pair=[int(x), int(y)],
-                    stdev=rec["stdev"], median=rec["median"],
-                )
-                raise MeasurementError(
-                    f"pair ({x}, {y}) never stabilized: stdev "
-                    f"{rec['stdev']:.1f} vs median {rec['median']:.1f} "
-                    f"after {rec['retries']} retries — rerun libmctop solo "
-                    "on the machine, possibly with different settings "
-                    "(Section 3.5)"
-                )
-            retried += 1 if rec["retries"] else 0
-            discarded_total += rec["discarded"]
-            table[x, y] = table[y, x] = max(rec["median"], 0.0)
-            stdevs[x, y] = stdevs[y, x] = rec["stdev"]
-            pair_counter.inc()
-            discard_hist.observe(
-                rec["discarded"] / (cfg.repetitions * (rec["retries"] + 1))
+    if cfg.warm_up:
+        for ctx in range(n):
+            probe.warm_up(ctx, cfg.warmup_loop_iters)
+    spec = probe.batch_spec()
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    if cfg.jobs > 1:
+        chunks = _chunk_pairs(pairs, cfg.jobs)
+        tracer = probe.obs.tracer
+        pool_start_us = tracer._now_us()
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=cfg.jobs
+        ) as pool:
+            results = list(pool.map(
+                _measure_pairs_chunk, repeat(spec), chunks, repeat(overhead),
+                repeat(cfg),
+            ))
+        # Stitch one child span per worker chunk into the parent trace.
+        # Adopted spans ride along in exports only: the deterministic
+        # summary stays identical to a jobs=1 run.
+        for index, (records, dur_us) in enumerate(results):
+            tracer.adopt_span(
+                "lat_table.worker_chunk", dur_us=dur_us,
+                start_us=pool_start_us, worker=index % cfg.jobs,
+                chunk=index, n_pairs=len(records),
             )
-            stdev_hist.observe(rec["stdev"])
-            if rec["retries"]:
-                retry_counter.inc(rec["retries"])
-                obs.instant(
-                    "lat_table.retry",
-                    pair=[int(x), int(y)], retries=rec["retries"],
-                )
-
-        discard_counter.inc(discarded_total)
-        obs.counter("lat_table.samples").inc(
-            probe.samples_taken - start_samples
-        )
-
-    return LatencyTableResult(
-        table=table,
-        repetitions=cfg.repetitions,
-        samples_taken=probe.samples_taken - start_samples,
-        retried_pairs=retried,
-        tsc_overhead=overhead,
-        discarded_samples=discarded_total,
-        per_pair_stdev=stdevs,
-    )
+    else:
+        results = [_measure_pairs_chunk(spec, pairs, overhead, cfg)]
+    for records, _ in results:
+        for record in records:
+            probe.samples_taken += record.samples
+            yield record
 
 
 def collect_latency_table(
     probe: MeasurementContext,
     cfg: LatencyTableConfig | None = None,
 ) -> LatencyTableResult:
-    """Fill the N x N latency table (Figure 6, step 1)."""
+    """Fill the N x N latency table (Figure 6, step 1).
+
+    The one fold over the selected scheme's records: the table, the
+    ``lat_table.*`` instruments, and a :class:`MeasurementError` on the
+    first pair that never stabilized.
+    """
     cfg = cfg or LatencyTableConfig()
-    if cfg.effective_sampling() == "pair":
-        return _collect_pair_seeded(probe, cfg)
+    pair = cfg.effective_sampling() == "pair"
+    records = _pair_seeded_records if pair else _sequential_records
     obs = probe.obs
     n = probe.n_hw_contexts()
     table = np.zeros((n, n))
@@ -521,43 +432,40 @@ def collect_latency_table(
         overhead = probe.estimate_tsc_overhead()
         obs.gauge("lat_table.tsc_overhead").set(overhead)
 
-        warmed: set[int] = set()
-        for x in range(n):
-            if cfg.warm_up and x not in warmed:
-                probe.warm_up(x, cfg.warmup_loop_iters)
-                warmed.add(x)
-            for y in range(x + 1, n):
-                if cfg.warm_up and y not in warmed:
-                    probe.warm_up(y, cfg.warmup_loop_iters)
-                    warmed.add(y)
-                median, stdev, retries, discarded = _measure_pair(
-                    probe, x, y, overhead, cfg
+        for rec in records(probe, overhead, cfg):
+            x, y = rec.x, rec.y
+            if rec.failed:
+                obs.instant(
+                    "lat_table.pair_failed", pair=[int(x), int(y)],
+                    stdev=rec.stdev, median=rec.median,
                 )
-                retried += 1 if retries else 0
-                discarded_total += discarded
-                table[x, y] = table[y, x] = max(median, 0.0)
-                stdevs[x, y] = stdevs[y, x] = stdev
-                pair_counter.inc()
-                discard_hist.observe(
-                    discarded / (cfg.repetitions * (retries + 1))
+                raise MeasurementError(
+                    f"pair ({x}, {y}) never stabilized: stdev "
+                    f"{rec.stdev:.1f} vs median {rec.median:.1f} after "
+                    f"{rec.retries} retries — rerun libmctop solo on the "
+                    "machine, possibly with different settings "
+                    "(Section 3.5)"
                 )
-                stdev_hist.observe(stdev)
-                if retries:
-                    retry_counter.inc(retries)
-                    obs.instant(
-                        "lat_table.retry",
-                        pair=[int(x), int(y)], retries=retries,
-                    )
+            retried += 1 if rec.retries else 0
+            discarded_total += rec.discarded
+            table[x, y] = table[y, x] = max(rec.median, 0.0)
+            stdevs[x, y] = stdevs[y, x] = rec.stdev
+            pair_counter.inc()
+            discard_hist.observe(rec.discarded / rec.samples)
+            stdev_hist.observe(rec.stdev)
+            if rec.retries:
+                retry_counter.inc(rec.retries)
+                obs.instant("lat_table.retry", pair=[int(x), int(y)],
+                            retries=rec.retries)
 
         discard_counter.inc(discarded_total)
-        obs.counter("lat_table.samples").inc(
-            probe.samples_taken - start_samples
-        )
+        samples_taken = probe.samples_taken - start_samples
+        obs.counter("lat_table.samples").inc(samples_taken)
 
     return LatencyTableResult(
         table=table,
         repetitions=cfg.repetitions,
-        samples_taken=probe.samples_taken - start_samples,
+        samples_taken=samples_taken,
         retried_pairs=retried,
         tsc_overhead=overhead,
         discarded_samples=discarded_total,

@@ -63,7 +63,11 @@ from repro.obs.merge import (
 )
 from repro.obs.trace_store import assemble_fleet_timeline
 from repro.service.cache import inference_key
-from repro.service.handlers import parse_inference_params
+from repro.service.handlers import (
+    parse_inference_params,
+    parse_profile_params,
+    parse_trace_params,
+)
 from repro.service.protocol import PROTOCOL_VERSION, VERBS, Request
 from repro.service.server import NdjsonServer, RequestRecord, run_server
 
@@ -352,34 +356,7 @@ class FleetRouter(NdjsonServer):
             # Validate up front: a bad filter should come back as
             # invalid_params, not as every member refusing (which the
             # fan-out would report as the fleet being unavailable).
-            action = params.get("action", "snapshot")
-            if action not in ("snapshot", "reset"):
-                raise ServiceError(
-                    "'action' must be 'snapshot' or 'reset'",
-                    code="invalid_params",
-                )
-            target = params.get("verb")
-            if target is not None and (
-                not isinstance(target, str) or not target
-            ):
-                raise ServiceError("'verb' must be a non-empty string",
-                                   code="invalid_params")
-            request_id = params.get("request_id")
-            if request_id is not None and (
-                not isinstance(request_id, str) or not request_id
-                or len(request_id) > 64
-            ):
-                raise ServiceError(
-                    "'request_id' must be a non-empty string of at most "
-                    "64 chars", code="invalid_params",
-                )
-            limit = params.get("limit", 200)
-            if not isinstance(limit, int) or isinstance(limit, bool) \
-                    or limit < 1 or limit > 5000:
-                raise ServiceError(
-                    "'limit' must be an integer in [1, 5000]",
-                    code="invalid_params",
-                )
+            parse_profile_params(params)
             fan_params = {}
             for key in ("action", "verb", "request_id", "limit"):
                 if params.get(key) is not None:
@@ -411,13 +388,7 @@ class FleetRouter(NdjsonServer):
         or answer ``unknown_verb`` are reported in ``missing_members``
         — an assembled trace must say what it could *not* see.
         """
-        request_id = request.params.get("request_id")
-        if not isinstance(request_id, str) or not request_id \
-                or len(request_id) > 64:
-            raise ServiceError(
-                "'request_id' must be a non-empty string of at most 64 "
-                "chars", code="invalid_params",
-            )
+        request_id = parse_trace_params(request.params)
         router_record = None
         if self.trace_store is not None:
             router_record = self.trace_store.get(request_id)

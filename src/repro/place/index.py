@@ -35,8 +35,6 @@ precomputed answer.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +58,6 @@ from repro.place.policies import (
 _THREAD_DEPENDENT = frozenset(
     (Policy.BALANCE_HWC, Policy.BALANCE_CORE_HWC, Policy.BALANCE_CORE)
 )
-
-
-@dataclass(frozen=True)
-class GridBounds:
-    """Caps on the precomputed grid (lookups outside the bounds miss
-    and fall back to the legacy compute path — still correct, just not
-    indexed).  ``None`` means the machine's natural limit."""
-
-    max_threads: int | None = None
-    max_sockets: int | None = None
 
 
 @dataclass(frozen=True)
@@ -103,18 +91,15 @@ class PlacementIndex:
 
     Keys are ``(policy, n_threads, n_sockets)`` after normalization
     (``n_sockets=None`` means the full socket chain, ``n_threads=None``
-    the chain's full context capacity).  :meth:`lookup` is the strict
-    probe (``None`` on a miss), :meth:`get` computes-and-caches through
-    the legacy path on a miss — raising the same
-    :class:`~repro.errors.PlacementError` the legacy path raises for
-    invalid or unsupported requests.
+    the chain's full context capacity).  The grid covers every valid
+    query, so :meth:`lookup` (the strict probe) misses only on an
+    invalid or unsupported one, for which :meth:`get` raises the same
+    :class:`~repro.errors.PlacementError` the legacy path raises.
     """
 
-    def __init__(self, mctop: Mctop, bounds: GridBounds | None = None):
+    def __init__(self, mctop: Mctop):
         self.mctop = mctop
-        self.bounds = bounds or GridBounds()
         self.prebuilt = False
-        self.build_seconds: float | None = None
         self._chain = socket_chain(mctop)
         sizes = {
             s: len(mctop.socket_get_contexts(s)) for s in self._chain
@@ -135,10 +120,6 @@ class PlacementIndex:
         self._entries: dict[tuple[str, int, int],
                             tuple[tuple[int, ...] | None, str | None,
                                   int]] = {}
-        #: policy -> error message, for policies this machine cannot
-        #: serve (POWER without RAPL, RR_SCALE without memory data).
-        self._unavailable: dict[str, str] = {}
-        self._lock = threading.Lock()
         self._suborder_memo: dict[tuple[str, int], list[int]] = {}
 
     # ------------------------------------------------------------- build
@@ -146,23 +127,19 @@ class PlacementIndex:
         """Materialize the whole grid (idempotent)."""
         if self.prebuilt:
             return self
-        t0 = time.perf_counter()
-        max_ns = len(self._chain)
-        if self.bounds.max_sockets is not None:
-            max_ns = min(max_ns, self.bounds.max_sockets)
         for policy in ALL_POLICIES:
             staged: dict = {}
             full: dict = {}
             try:
-                self._build_policy(policy, max_ns, staged, full)
-            except PlacementError as exc:
-                self._unavailable[policy.value] = str(exc)
+                self._build_policy(policy, staged, full)
+            except PlacementError:
+                # A policy this machine cannot serve (POWER without
+                # RAPL, RR_SCALE without memory data) has no entries:
+                # get() raises Placement's own error for it.
                 continue
-            with self._lock:
-                self._entries.update(staged)
-                self._full.update(full)
+            self._entries.update(staged)
+            self._full.update(full)
         self.prebuilt = True
-        self.build_seconds = time.perf_counter() - t0
         return self
 
     def _suborder(self, socket_id: int, core_first: bool) -> list[int]:
@@ -174,11 +151,6 @@ class PlacementIndex:
             self._suborder_memo[key] = order
         return order
 
-    def _cap_threads(self, capacity: int) -> int:
-        if self.bounds.max_threads is None:
-            return capacity
-        return min(capacity, self.bounds.max_threads)
-
     def _rows(self, ordering: list[int]) -> np.ndarray:
         ctx_rows = self.mctop._ctx_rows
         return np.fromiter(
@@ -186,18 +158,18 @@ class PlacementIndex:
             count=len(ordering),
         )
 
-    def _build_policy(self, policy: Policy, max_ns: int,
-                      staged: dict, full_out: dict) -> None:
+    def _build_policy(self, policy: Policy, staged: dict,
+                      full_out: dict) -> None:
         mctop = self.mctop
         lat = mctop.lat_table
-        for ns in range(1, max_ns + 1):
+        for ns in range(1, len(self._chain) + 1):
             sub_chain = self._chain[:ns]
             if policy in _THREAD_DEPENDENT:
                 core_first = policy is not Policy.BALANCE_HWC
                 per_socket = [
                     self._suborder(s, core_first) for s in sub_chain
                 ]
-                cap = self._cap_threads(sum(len(p) for p in per_socket))
+                cap = sum(len(p) for p in per_socket)
                 for nt in range(1, cap + 1):
                     ordering = _balance_ordering(per_socket, nt, ns)
                     if nt > 1:
@@ -212,7 +184,7 @@ class PlacementIndex:
                     )
             else:
                 full = _order_for(mctop, policy, sub_chain, None)
-                cap = self._cap_threads(len(full))
+                cap = len(full)
                 rows = self._rows(full)
                 sub = lat[np.ix_(rows, rows)]
                 # prefix_max[j] = max latency over ordered pairs within
@@ -302,25 +274,19 @@ class PlacementIndex:
         n_threads: int | None = None,
         n_sockets: int | None = None,
     ) -> PlacementResult:
-        """Lookup, computing (and caching) through the legacy path on a
-        miss — so it raises exactly what ``Placement`` would."""
+        """Lookup, computing through the legacy path on a miss — so it
+        raises exactly what ``Placement`` would for the invalid query
+        that is the only way to miss."""
         result = self.lookup(policy, n_threads, n_sockets)
         if result is not None:
             return result
         placement = Placement(self.mctop, policy, n_threads, n_sockets)
-        result = PlacementResult(
+        return PlacementResult(
             policy=placement.policy.value,
             ordering=tuple(placement.ordering),
             stats=placement.print_stats(),
             max_latency=placement.max_latency(),
         )
-        key = self._normalize(placement.policy, n_threads, n_sockets)
-        if key is not None:
-            with self._lock:
-                self._entries.setdefault(
-                    key, (result.ordering, result.stats, result.max_latency)
-                )
-        return result
 
     def placement(
         self,
@@ -334,27 +300,8 @@ class PlacementIndex:
             self.mctop, result.policy, result.ordering, result.max_latency
         )
 
-    def policy_available(self, policy: Policy | str) -> bool:
-        value = policy.value if isinstance(policy, Policy) else str(policy)
-        return value not in self._unavailable
-
     # ------------------------------------------------------- introspection
     @property
     def n_entries(self) -> int:
         return len(self._entries)
-
-    def stats(self) -> dict:
-        return {
-            "prebuilt": self.prebuilt,
-            "entries": len(self._entries),
-            "policies": len(
-                {p for (p, _, _) in self._entries}
-            ),
-            "unavailable": dict(self._unavailable),
-            "build_seconds": self.build_seconds,
-            "bounds": {
-                "max_threads": self.bounds.max_threads,
-                "max_sockets": self.bounds.max_sockets,
-            },
-        }
 

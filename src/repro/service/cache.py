@@ -137,30 +137,66 @@ class InferenceCache:
 
         ``record=False`` skips the hit/miss counters — used by the
         fleet ``cache_fetch`` verb, whose peer probes are not client
-        traffic and must not skew the cache-hit ratio.
+        traffic and must not skew the cache-hit ratio.  A memory miss
+        blocks for as long as loading the store file takes (tens of
+        milliseconds for the big machines); on an event loop use
+        :meth:`get_async`.
         """
+        mctop = self.get_memory(key, record)
+        if mctop is None:
+            mctop = self._loaded(key, *self._read_store(key), record)
+        return mctop
+
+    async def get_async(self, key: str, record: bool = True) -> Mctop | None:
+        """:meth:`get` for the daemon's event loop: a memory hit is
+        answered on the loop, a store file is loaded in a worker
+        thread, so the loop keeps answering frames while it loads."""
+        mctop = self.get_memory(key, record)
+        if mctop is None:
+            found = await asyncio.to_thread(self._read_store, key)
+            mctop = self._loaded(key, *found, record)
+        return mctop
+
+    def get_memory(self, key: str, record: bool = True) -> Mctop | None:
+        """The memory tier alone; a hit counts, a miss does not (the
+        caller goes on to the store, which counts the outcome)."""
         mctop = self._memory.get(key)
         if mctop is not None:
             self._memory.move_to_end(key)
             if record:
                 self.obs.counter("service.cache.hits.memory").inc()
-            return mctop
+        return mctop
+
+    def _read_store(self, key: str) -> tuple[Mctop | None, bool]:
+        """``(topology or None, corrupt)`` from the store file.  Blocking
+        and free of side effects, so it can run in a worker thread."""
         path = self._disk_path(key)
-        if path is not None and path.is_file():
-            try:
-                mctop = load_mctop(path)
-            except SerializationError:
-                # A truncated/corrupt store entry is treated as a miss;
-                # the fresh result will overwrite it.
-                self.obs.counter("service.cache.disk_corrupt").inc()
-            else:
-                if record:
-                    self.obs.counter("service.cache.hits.disk").inc()
-                self._insert_memory(key, mctop)
-                return mctop
+        if path is None or not path.is_file():
+            return None, False
+        try:
+            return load_mctop(path), False
+        except SerializationError:
+            return None, True
+
+    def _loaded(self, key: str, mctop: Mctop | None, corrupt: bool,
+                record: bool) -> Mctop | None:
+        """Count a store read's outcome and promote a hit to memory."""
+        if corrupt:
+            # A truncated/corrupt store entry is treated as a miss; the
+            # fresh result will overwrite it.
+            self.obs.counter("service.cache.disk_corrupt").inc()
         if record:
-            self.obs.counter("service.cache.misses").inc()
-        return None
+            self.record_store_lookup(mctop is not None)
+        if mctop is not None:
+            self._insert_memory(key, mctop)
+        return mctop
+
+    def record_store_lookup(self, hit: bool) -> None:
+        """Count one lookup that went past the memory tier: a store hit
+        or a miss of both tiers."""
+        self.obs.counter(
+            "service.cache.hits.disk" if hit else "service.cache.misses"
+        ).inc()
 
     def put(self, key: str, mctop: Mctop) -> None:
         """Insert into the memory LRU, then write the store file.

@@ -166,7 +166,7 @@ class DriftWatcher:
                     seed=self.seed,
                     config=InferenceConfig(table=self.table),
                 )
-                baseline = self.cache.get(state.key)
+                baseline = await self.cache.get_async(state.key)
                 if baseline is None:
                     # First sight of this machine: the fresh topology
                     # becomes the durable baseline; by definition no

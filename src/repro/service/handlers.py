@@ -6,8 +6,9 @@ single-flight lookup for anything needing a topology, then a plain
 JSON-compatible result dict.  Expensive MCTOP-ALG runs execute in a
 worker thread (``asyncio.to_thread``) so the event loop keeps serving
 cache hits and metrics while an inference is in flight; so do the
-store write that follows (:meth:`InferenceCache.put_async`) and the
-placement-index build.
+store write that follows (:meth:`InferenceCache.put_async`), a store
+load on a memory miss (:meth:`InferenceCache.get_async`, under the
+single-flight) and the placement-index build.
 
 Session state (the per-connection :class:`PlacementPool` of the
 ``pool_switch`` verb) lives in :class:`Session`, one per client
@@ -99,6 +100,42 @@ def parse_inference_params(
     except ConfigError as exc:
         raise _invalid(str(exc)) from exc
     return machine, seed, table
+
+
+def parse_trace_params(params: dict) -> str:
+    """Validate the ``trace`` verb's ``request_id``; the daemon and the
+    fleet router both check it here, so they refuse alike."""
+    return _request_id(params.get("request_id"))
+
+
+def parse_profile_params(
+    params: dict,
+) -> tuple[str, str | None, str | None, int]:
+    """Validate the ``profile`` verb's params into ``(action, verb,
+    request_id, limit)``.  The fleet router validates here too, before
+    it fans out, so a bad filter is refused as the daemon refuses it
+    rather than as every member refusing."""
+    action = params.get("action", "snapshot")
+    if action not in ("snapshot", "reset"):
+        raise _invalid("'action' must be 'snapshot' or 'reset'")
+    verb = params.get("verb")
+    if verb is not None and (not isinstance(verb, str) or not verb):
+        raise _invalid("'verb' must be a non-empty string")
+    request_id = params.get("request_id")
+    if request_id is not None:
+        _request_id(request_id)
+    limit = _get_int(params, "limit", 200)
+    if limit is None or limit < 1 or limit > 5000:
+        raise _invalid("'limit' must be an integer in [1, 5000]")
+    return action, verb, request_id, limit
+
+
+def _request_id(value) -> str:
+    if not isinstance(value, str) or not value or len(value) > 64:
+        raise _invalid(
+            "'request_id' must be a non-empty string of at most 64 chars"
+        )
+    return value
 
 
 def encode_mctop_blob(mctop: Mctop) -> str:
@@ -296,11 +333,19 @@ class Handlers:
         request_id = current_request_id.get()
         with self.obs.span("service.cache_lookup", key=key[:12],
                            request_id=request_id):
-            mctop = self.cache.get(key)
+            mctop = self.cache.get_memory(key)
         if mctop is not None:
             return key, mctop, True
 
-        async def run_inference() -> Mctop:
+        async def resolve() -> tuple[Mctop, bool]:
+            # Past the memory tier, the single-flight leader loads a
+            # store hit in a worker thread, once however many requests
+            # wait on the digest; the loop keeps answering meanwhile.
+            with self.obs.span("service.store_load", key=key[:12],
+                               request_id=request_id):
+                mctop = await self.cache.get_async(key, record=False)
+            if mctop is not None:
+                return mctop, True
             # Fleet cache peering: on a local miss the single-flight
             # leader first asks the digest's ring-adjacent peers for
             # the blob — extending the one-run-per-digest property
@@ -314,7 +359,7 @@ class Handlers:
                 if peer_mctop is not None:
                     await self.cache.put_async(key, peer_mctop)
                     await self._precompute_index(key, peer_mctop)
-                    return peer_mctop
+                    return peer_mctop, False
             with self.obs.span("service.infer_run", machine=machine,
                                seed=seed, key=key[:12],
                                request_id=request_id):
@@ -328,10 +373,17 @@ class Handlers:
             self.obs.counter("service.inference.runs").inc()
             await self.cache.put_async(key, mctop)
             await self._precompute_index(key, mctop)
-            return mctop
+            return mctop, False
 
-        mctop = await self.singleflight.run(key, run_inference)
-        return key, mctop, False
+        # Each request on the flight counts one lookup: a store hit, or
+        # a miss of both tiers (a failed flight found nothing either).
+        try:
+            mctop, cached = await self.singleflight.run(key, resolve)
+        except BaseException:
+            self.cache.record_store_lookup(False)
+            raise
+        self.cache.record_store_lookup(cached)
+        return key, mctop, cached
 
     def _infer_sync(self, machine: str, seed: int,
                     table: LatencyTableConfig) -> Mctop:
@@ -581,12 +633,7 @@ class Handlers:
         trace was never retained or has been evicted; ``enabled:
         false`` when the daemon runs with ``--no-trace-store``.
         """
-        request_id = params.get("request_id")
-        if not isinstance(request_id, str) or not request_id \
-                or len(request_id) > 64:
-            raise _invalid(
-                "'request_id' must be a non-empty string of at most 64 chars"
-            )
+        request_id = parse_trace_params(params)
         if self.trace_store is None:
             return {"protocol": PROTOCOL_VERSION, "enabled": False,
                     "found": False, "request_id": request_id}
@@ -627,23 +674,7 @@ class Handlers:
         A daemon running without ``--profile`` answers
         ``{"enabled": false}`` rather than erroring, the drift pattern.
         """
-        action = params.get("action", "snapshot")
-        if action not in ("snapshot", "reset"):
-            raise _invalid("'action' must be 'snapshot' or 'reset'")
-        verb = params.get("verb")
-        if verb is not None and (not isinstance(verb, str) or not verb):
-            raise _invalid("'verb' must be a non-empty string")
-        request_id = params.get("request_id")
-        if request_id is not None and (
-            not isinstance(request_id, str) or not request_id
-            or len(request_id) > 64
-        ):
-            raise _invalid(
-                "'request_id' must be a non-empty string of at most 64 chars"
-            )
-        limit = _get_int(params, "limit", 200)
-        if limit is None or limit < 1 or limit > 5000:
-            raise _invalid("'limit' must be an integer in [1, 5000]")
+        action, verb, request_id, limit = parse_profile_params(params)
         if self.profiler is None:
             return {"protocol": PROTOCOL_VERSION, "enabled": False}
         if action == "reset":
@@ -671,7 +702,7 @@ class Handlers:
             len(key) == 64 and all(c in "0123456789abcdef" for c in key)
         ):
             raise _invalid("'key' must be a 64-char hex SHA-256 digest")
-        mctop = self.cache.get(key, record=False)
+        mctop = await self.cache.get_async(key, record=False)
         self.obs.counter("service.cache_fetch.requests").inc()
         if mctop is None:
             return {"found": False, "key": key}

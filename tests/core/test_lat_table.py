@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,167 @@ class TestMedian:
         before = a.copy()
         _median(a)
         assert a.tobytes() == before.tobytes()
+
+
+# ------------------------------------------------------------------------
+# Pinned outputs of both sampling schemes.  The goldens pin only the
+# sequential scheme's topologies; these pin each scheme's table, its
+# collection statistics and how a retry and a failure read, so a change
+# that moved every scheme together cannot pass unseen.
+# ------------------------------------------------------------------------
+
+#: scheme name -> the LatencyTableConfig keywords that select it.
+SCHEMES = {
+    "sequential": {},
+    "pair": {"sampling": "pair"},
+    "pair-jobs2": {"sampling": "pair", "jobs": 2},
+}
+
+#: (machine, scheme) at seed 5 and 31 repetitions -> sha256 of
+#: ``table.tobytes()``, sha256 of ``per_pair_stdev.tobytes()``,
+#: samples taken, discarded samples, warm-up rounds.  No pair retries.
+#: ``jobs`` cannot change a bit, so "pair-jobs2" shares "pair"'s row.
+PINNED = {
+    ("testbox", "sequential"): (
+        "99ac8524d61bf85a752d99bbc82d4faee3ae1ab1a828db2b84f981bbaadb0de7",
+        "6fc196b060314c406375ac0fd0b58eb020c752df31be13ca90a72114963e646f",
+        868, 1, 68,
+    ),
+    ("testbox", "pair"): (
+        "4a806e0e6fab765385cb1002b723de1e951c5773044b598fb779f362d70b1c0e",
+        "051345bb025313adad07e53e7a8b0246c6170447156af263b318ab3be05b6314",
+        868, 0, 68,
+    ),
+    ("opteron", "sequential"): (
+        "22fd8fbd0b0ffd7ad600d2accd605cd9210c4d416bcf7d9b0ea9eda59ea38be1",
+        "b901cbeb11767d0583840d1a40ad60d4e7ad9c47be0b395ea32de4ae12b4779f",
+        34968, 108, 96,
+    ),
+    ("opteron", "pair"): (
+        "08ba62a6023f5ac4be2f1120c8107230ed9dd3b56f65302a9553e20803ce787c",
+        "538705a9c76559858267455c025bd3c600acc22cf4c885652d417b527542ed13",
+        34968, 90, 96,
+    ),
+    ("ivy", "sequential"): (
+        "bbef99e523fee7d548fe563dd6f404f1ad32bce75226c466d84e237e8f827c2b",
+        "fd62d142cf94214e4f4d52539380bbe9e1415fd0def295e32a6d442dc91a56e5",
+        24180, 74, 350,
+    ),
+    ("ivy", "pair"): (
+        "80142b0b3f0b73528d42b31d0f24207558278c9d4ee72cb3d1775dff2ed2b126",
+        "6b824adbf9741e41080718cd7940234fe172a64bcbfbce78f030c5919feb4050",
+        24180, 65, 349,
+    ),
+}
+
+#: The retry configuration of ``test_retries_counted_under_tight_thresholds``
+#: -> the ``lat_table.retry`` instants' args, in order, per scheme.
+RETRY_CFG = dict(repetitions=41, stdev_threshold=0.01,
+                 max_stdev_threshold=0.2, stdev_floor=0.5)
+PINNED_RETRIES = {
+    "sequential": [
+        ((0, 1), 2), ((0, 4), 3), ((0, 5), 1), ((1, 2), 1), ((1, 4), 1),
+        ((1, 5), 3), ((2, 3), 2), ((2, 6), 3), ((2, 7), 2), ((3, 6), 1),
+        ((3, 7), 3), ((4, 5), 2), ((6, 7), 1),
+    ],
+    "pair": [
+        ((0, 1), 2), ((0, 4), 3), ((0, 5), 1), ((1, 4), 1), ((1, 5), 3),
+        ((2, 3), 1), ((2, 6), 4), ((2, 7), 2), ((3, 6), 1), ((3, 7), 3),
+        ((4, 5), 2), ((6, 7), 2),
+    ],
+}
+
+#: A pair that never settles: testbox, seed 1, jitter 2.0 against a
+#: 1%..2% threshold.  Per scheme: the failed pair's stdev and median
+#: (as the pair_failed instant carries them) and the warm-ups done.
+FAIL_CFG = dict(repetitions=15, stdev_threshold=0.01,
+                max_stdev_threshold=0.02, stdev_floor=0.1)
+PINNED_FAILURE = {
+    "sequential": (2.32415897085411, 26.669563444748555, 5, 62),
+    "pair": (2.0794776734679608, 24.78445882473534, 8, 68),
+}
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("machine", ["testbox", "opteron", "ivy"])
+    def test_table_and_statistics(self, machine, scheme):
+        probe = MeasurementContext(get_machine(machine), seed=5)
+        result = collect_latency_table(
+            probe, LatencyTableConfig(repetitions=31, **SCHEMES[scheme])
+        )
+        table, stdev, samples, discarded, rounds = \
+            PINNED[(machine, scheme.split("-")[0])]
+        n = probe.n_hw_contexts()
+        assert _sha256(result.table) == table
+        assert _sha256(result.per_pair_stdev) == stdev
+        assert result.samples_taken == samples
+        assert result.retried_pairs == 0
+        assert result.discarded_samples == discarded
+        assert probe.obs.summary() == {
+            "counters": {
+                "lat_table.discarded_samples": discarded,
+                "lat_table.pairs": n * (n - 1) // 2,
+                "lat_table.retries": 0,
+                "lat_table.samples": samples,
+                "probe.warmup_rounds": rounds,
+                "probe.warmups": n,
+            },
+            "dropped_events": 0,
+            "instants": 0,
+            "spans": 1,
+        }
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_retry_instants(self, testbox, scheme):
+        probe = MeasurementContext(testbox, seed=5)
+        collect_latency_table(
+            probe, LatencyTableConfig(**RETRY_CFG, **SCHEMES[scheme])
+        )
+        got = [(tuple(i.args["pair"]), i.args["retries"])
+               for i in probe.tracer.instants_named("lat_table.retry")]
+        expected = PINNED_RETRIES[scheme.split("-")[0]]
+        assert got == expected
+        assert probe.registry.value("lat_table.retries") == \
+            sum(r for _, r in expected)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_failure_report(self, testbox, scheme, vectorized):
+        probe = MeasurementContext(
+            testbox, noise=NoiseProfile(jitter_sigma=2.0), seed=1
+        )
+        cfg = LatencyTableConfig(**FAIL_CFG, vectorized=vectorized,
+                                 **SCHEMES[scheme])
+        with pytest.raises(MeasurementError) as exc:
+            collect_latency_table(probe, cfg)
+        stdev, median, warmups, rounds = PINNED_FAILURE[scheme.split("-")[0]]
+        assert str(exc.value) == (
+            f"pair (0, 4) never stabilized: stdev {stdev:.1f} vs median "
+            f"{median:.1f} after 2 retries — rerun libmctop solo on the "
+            "machine, possibly with different settings (Section 3.5)"
+        )
+        (failed,) = probe.tracer.instants_named("lat_table.pair_failed")
+        assert failed.args == {"pair": [0, 4], "stdev": stdev,
+                               "median": median}
+        # Pairs (0, 1)..(0, 3) were folded, one of them retried once; the
+        # failed pair's 2 x 15 samples are counted, but lat_table.samples
+        # is not, and only the contexts measured so far are warm under
+        # the sequential scheme.
+        assert probe.samples_taken == 90
+        assert probe.obs.summary() == {
+            "counters": {
+                "lat_table.discarded_samples": 0,
+                "lat_table.pairs": 3,
+                "lat_table.retries": 1,
+                "probe.warmup_rounds": rounds,
+                "probe.warmups": warmups,
+            },
+            "dropped_events": 0,
+            "instants": 2,
+            "spans": 1,
+        }

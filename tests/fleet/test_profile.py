@@ -102,3 +102,40 @@ class TestFleetProfileMerge:
             with pytest.raises(ServiceError) as excinfo:
                 client.profile(request_id="x" * 65)
         assert excinfo.value.code == "invalid_params"
+
+
+#: (verb, params) the daemon refuses as invalid_params; the router
+#: validates the same params before it fans out.
+BAD_PARAMS = [
+    ("profile", {"action": "bogus"}),
+    ("profile", {"verb": ""}),
+    ("profile", {"verb": 7}),
+    ("profile", {"request_id": ""}),
+    ("profile", {"request_id": "x" * 65}),
+    ("profile", {"request_id": 7}),
+    ("profile", {"limit": "lots"}),
+    ("profile", {"limit": True}),
+    ("profile", {"limit": 2.5}),
+    ("profile", {"limit": None}),
+    ("profile", {"limit": 0}),
+    ("profile", {"limit": 5001}),
+    ("trace", {}),
+    ("trace", {"request_id": ""}),
+    ("trace", {"request_id": "x" * 65}),
+    ("trace", {"request_id": 7}),
+]
+
+
+def test_router_refuses_bad_params_as_the_daemon_does(fleet):
+    """One validator per verb: for every bad value the router and a
+    member answer invalid_params with the same message."""
+    def refusal(client, verb, params):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(verb, **params)
+        return excinfo.value.code, str(excinfo.value)
+
+    with fleet.client() as router, fleet.member_client("m0") as member:
+        for verb, params in BAD_PARAMS:
+            want = refusal(member, verb, params)
+            assert want[0] == "invalid_params", (verb, params)
+            assert refusal(router, verb, params) == want, (verb, params)

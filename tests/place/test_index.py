@@ -21,7 +21,6 @@ from repro.core.serialize import mctop_from_dict, save_mctop
 from repro.errors import PlacementError
 from repro.place import (
     ALL_POLICIES,
-    GridBounds,
     Placement,
     PlacementIndex,
     Policy,
@@ -115,6 +114,21 @@ class TestLazyStats:
                 mctop, policy, result.ordering, result.max_latency
             ).print_stats()
             assert result.stats == eager, (name, policy, nt, ns)
+        # The grid is every valid query: a policy the machine serves
+        # has every thread count up to each socket prefix's capacity,
+        # one thread more is refused the way Placement refuses it, and
+        # a policy it cannot serve has no entries and is refused too.
+        for policy in ALL_POLICIES:
+            served = any(key[0] == policy.value for key in keys)
+            for ns, capacity in index._capacity.items():
+                for nt in range(1, capacity + 1):
+                    hit = index.lookup(policy, nt, ns)
+                    assert (hit is not None) == served, (policy, nt, ns)
+                with pytest.raises(PlacementError):
+                    index.get(policy, capacity + 1, ns)
+            if not served:
+                with pytest.raises(PlacementError):
+                    index.get(policy)
 
     def test_build_renders_nothing_and_each_key_renders_once(
             self, monkeypatch):
@@ -164,16 +178,6 @@ class TestLookupSemantics:
         _, index = indexed("testbox")
         with pytest.raises((PlacementError, ValueError)):
             index.get("NOT_A_POLICY", 4)
-
-    def test_bounded_grid_falls_back_to_compute(self):
-        mctop = golden_mctop("testbox")
-        index = PlacementIndex(mctop, GridBounds(max_threads=2)).build()
-        assert index.lookup("CON_HWC", 4) is None  # beyond the bounds
-        result = index.get("CON_HWC", 4)           # legacy fallback
-        legacy = Placement(mctop, Policy.CON_HWC, 4)
-        assert result.ordering == tuple(legacy.ordering)
-        # ... and get() caches what it computed:
-        assert index.lookup("CON_HWC", 4) is not None
 
     def test_placement_is_pinnable(self, indexed):
         _, index = indexed("testbox")

@@ -100,3 +100,28 @@ def held_store_write(monkeypatch):
     monkeypatch.setattr(cache_module, "save_mctop", held_save)
     yield writing, release
     release.set()
+
+
+@pytest.fixture()
+def held_store_load(monkeypatch):
+    """Hold every store load until the test lets it go.
+
+    Yields ``(loading, release, loads)``: ``loading`` is set once a load
+    has started, the load goes on once ``release`` is set (or after
+    10 s, so a loop blocked by the load cannot hang the test), and
+    ``loads`` lists the path of every load.
+    """
+    cache_module = importlib.import_module("repro.service.cache")
+    loading, release = threading.Event(), threading.Event()
+    loads: list = []
+    real_load = cache_module.load_mctop
+
+    def held_load(path):
+        loads.append(path)
+        loading.set()
+        release.wait(10)
+        return real_load(path)
+
+    monkeypatch.setattr(cache_module, "load_mctop", held_load)
+    yield loading, release, loads
+    release.set()

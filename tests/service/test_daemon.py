@@ -221,6 +221,56 @@ class TestStoreWrite:
             "service.cache.disk_writes") == 1
 
 
+class TestStoreLoad:
+    def test_a_held_store_load_does_not_stall_the_loop(
+            self, daemon_factory, held_store_load):
+        """A store hit is loaded in a worker thread, once per digest:
+        while the load is held, a ping on another connection is
+        answered, and two infers of the stored digest share the one
+        load and both answer cached: true."""
+        loading, release, loads = held_store_load
+        first = daemon_factory()
+        with first.client() as client:
+            key = client.infer("testbox", seed=6)["key"]
+        first.stop()
+        assert loads == []
+        harness = daemon_factory()  # a restart on the same store
+        results: list[dict] = []
+        errors: list[Exception] = []
+
+        def warm_infer() -> None:
+            try:
+                with harness.client() as client:
+                    results.append(client.infer("testbox", seed=6))
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        infers = [threading.Thread(target=warm_infer) for _ in range(2)]
+        infers[0].start()
+        try:
+            assert loading.wait(30), "the store load never started"
+            with harness.client(timeout=2.0) as client:
+                assert client.ping()["pong"] is True
+            infers[1].start()
+            registry = harness.daemon.obs.registry
+            deadline = time.monotonic() + 10
+            while registry.value("service.singleflight.coalesced", 0) < 1:
+                assert time.monotonic() < deadline, "second infer not seen"
+                time.sleep(0.01)
+        finally:
+            release.set()
+            for infer in infers:
+                if infer.ident is not None:  # started
+                    infer.join(30)
+        assert errors == []
+        assert [r["cached"] for r in results] == [True, True]
+        assert {r["key"] for r in results} == {key}
+        assert len(loads) == 1
+        assert registry.value("service.cache.hits.disk") == 2
+        assert registry.value("service.cache.misses", 0) == 0
+        assert registry.value("service.inference.runs", 0) == 0
+
+
 class TestCoalescing:
     def test_concurrent_infers_trigger_exactly_one_run(self, harness):
         n_clients = 4

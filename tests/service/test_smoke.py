@@ -3,14 +3,16 @@
 Starts ``python -m repro serve`` as a subprocess on a Unix socket,
 exercises two catalog machines through the sync client, checks the
 acceptance bar (a warm ``infer`` served from cache is >= 10x faster
-than the cold one) and verifies the SIGTERM graceful drain exits 0.
-The CI service-smoke job runs exactly this file.
+than the cold one, on the median of five warm round trips) and
+verifies the SIGTERM graceful drain exits 0.  The CI service-smoke job
+runs exactly this file.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -64,14 +66,19 @@ def test_smoke_two_machines_and_graceful_shutdown(mctopd):
             t0 = time.perf_counter()
             cold = client.infer(machine, seed=1, repetitions=31)
             cold_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            warm = client.infer(machine, seed=1, repetitions=31)
-            warm_s = time.perf_counter() - t0
             assert cold["cached"] is False
-            assert warm["cached"] is True
+            # The median of several warm round trips: one sub-millisecond
+            # round trip is at the mercy of a single scheduling hiccup.
+            warm_times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                warm = client.infer(machine, seed=1, repetitions=31)
+                warm_times.append(time.perf_counter() - t0)
+                assert warm["cached"] is True
+            warm_s = statistics.median(warm_times)
             assert warm_s * 10 <= cold_s, (
-                f"{machine}: warm {warm_s * 1e3:.2f}ms not >=10x faster "
-                f"than cold {cold_s * 1e3:.2f}ms"
+                f"{machine}: warm median {warm_s * 1e3:.2f}ms not >=10x "
+                f"faster than cold {cold_s * 1e3:.2f}ms"
             )
             placed = client.place(machine, policy="CON_HWC",
                                   seed=1, repetitions=31)
