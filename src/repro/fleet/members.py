@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError, ServiceError
 from repro.service.protocol import MAX_LINE_BYTES, decode_response, encode_frame
+from repro.service.server import bounded
 
 #: Member health statuses.  ``degraded`` members stay in the ring
 #: (warn-level drift is a signal, not an outage); ``ejected`` members
@@ -180,8 +181,7 @@ class MemberConnection:
             opener = asyncio.open_connection(
                 spec.host, spec.port, limit=MAX_LINE_BYTES
             )
-        async with asyncio.timeout(timeout):
-            self._reader, self._writer = await opener
+        self._reader, self._writer = await bounded(opener, timeout)
 
     async def request(self, verb: str, params: dict, timeout: float,
                       parent_request_id: str | None = None) -> dict:
@@ -195,11 +195,9 @@ class MemberConnection:
             frame_doc["parent_request_id"] = parent_request_id
         self._writer.write(encode_frame(frame_doc))
         # Each await under its own bound, on this task: no Task per
-        # forwarded frame.
-        async with asyncio.timeout(timeout):
-            await self._writer.drain()
-        async with asyncio.timeout(timeout):
-            line = await self._reader.readline()
+        # forwarded frame, and no timer for a drain that does not wait.
+        await bounded(self._writer.drain(), timeout)
+        line = await bounded(self._reader.readline(), timeout)
         if not line:
             raise ConnectionResetError(
                 f"member {self.spec.id} closed the connection"

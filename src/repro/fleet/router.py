@@ -62,9 +62,8 @@ from repro.obs.merge import (
     merge_trace_summaries,
 )
 from repro.obs.trace_store import assemble_fleet_timeline
-from repro.service.cache import inference_key
 from repro.service.handlers import (
-    parse_inference_params,
+    TopologyParamsMemo,
     parse_profile_params,
     parse_trace_params,
 )
@@ -144,6 +143,7 @@ class FleetRouter(NdjsonServer):
             probe=probe_member,
         )
         self._rr = 0
+        self._params = TopologyParamsMemo()
         # Only protocol verbs and ``fleet`` get per-verb instruments:
         # any other verb is forwarded without them (its member answers
         # it), so arbitrary verb strings cannot grow the registry.
@@ -203,10 +203,9 @@ class FleetRouter(NdjsonServer):
             # Catalog validation stays on the member (the router has no
             # business rejecting machines a member might know); the
             # digest only needs the *same* canonicalization.
-            machine, seed, table = parse_inference_params(
-                params, default_repetitions=self.config.default_repetitions
-            )
-            key = inference_key(machine, seed, table)
+            key = self._params.resolve(
+                params, self.config.default_repetitions
+            )[3]
             return ring.preference(key)
         # Stateless / unknown verbs: spread them round-robin, then walk
         # the ring order for failover.

@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -147,33 +145,10 @@ class Tracer:
                 self.sink_errors += 1
 
     # ----------------------------------------------------------- spans
-    @contextmanager
-    def span(self, name: str, **args) -> Iterator[int]:
-        """Open a nested span; yields the span id."""
-        span_id = self._next_id
-        self._next_id += 1
-        stack = self._stack_var.get()
-        parent = stack[-1][0] if stack else None
-        depth = len(stack)
-        token = self._stack_var.set(stack + ((span_id, name),))
-        start = self._now_us()
-        try:
-            yield span_id
-        finally:
-            end = self._now_us()
-            self._stack_var.reset(token)
-            self.finished_spans += 1
-            self._record(
-                Span(
-                    id=span_id,
-                    name=name,
-                    start_us=start,
-                    dur_us=end - start,
-                    depth=depth,
-                    parent_id=parent,
-                    args=args,
-                )
-            )
+    def span(self, name: str, **args) -> "_OpenSpan":
+        """A nested span, as a context manager whose ``__enter__``
+        returns the span id."""
+        return _OpenSpan(self, name, args)
 
     def adopt_span(
         self,
@@ -279,3 +254,46 @@ class Tracer:
         self.instants = 0
         self._stack_var.set(())
         self._epoch = self._clock()
+
+
+class _OpenSpan:
+    """One :meth:`Tracer.span`: the id is taken on entry, and the
+    :class:`Span` is recorded on exit, raising or not.  A plain class
+    rather than a generator context manager, since the daemon opens
+    several spans per frame."""
+
+    __slots__ = ("_tracer", "_name", "_args", "_id", "_parent", "_depth",
+                 "_token", "_start")
+
+    def __init__(self, tracer: Tracer, name: str, args: dict):
+        self._tracer = tracer
+        self._name = name
+        self._args = args
+
+    def __enter__(self) -> int:
+        tracer = self._tracer
+        span_id = self._id = tracer._next_id
+        tracer._next_id = span_id + 1
+        stack = tracer._stack_var.get()
+        self._parent = stack[-1][0] if stack else None
+        self._depth = len(stack)
+        self._token = tracer._stack_var.set(stack + ((span_id, self._name),))
+        self._start = tracer._now_us()
+        return span_id
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self._tracer
+        end = tracer._now_us()
+        tracer._stack_var.reset(self._token)
+        tracer.finished_spans += 1
+        tracer._record(
+            Span(
+                id=self._id,
+                name=self._name,
+                start_us=self._start,
+                dur_us=end - self._start,
+                depth=self._depth,
+                parent_id=self._parent,
+                args=self._args,
+            )
+        )

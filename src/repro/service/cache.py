@@ -34,19 +34,6 @@ from repro.service.context import current_request_id
 
 KEY_FORMAT_VERSION = 2
 
-#: Digests already worked out, keyed on the type and ``repr`` of every
-#: digested input; cleared when it reaches :data:`_KEY_MEMO_MAX`.
-#: Only inputs whose ``repr`` fits in :data:`_KEY_MEMO_MAX_REPR`
-#: characters are kept (a real request's is under 100): the inputs come
-#: from clients, and a frame may be 16 MiB, so without that bound a
-#: peer could pin hundreds of such frames in memory.  Shared by every
-#: caller in the process and unlocked: a digest is a pure function of
-#: its key, so a race between threads can only work a digest out twice
-#: or overshoot the bound by a few entries.
-_KEY_MEMO: dict[tuple, str] = {}
-_KEY_MEMO_MAX = 512
-_KEY_MEMO_MAX_REPR = 1024
-
 
 def inference_key(
     machine: str, seed: int, table: LatencyTableConfig | None = None
@@ -63,27 +50,13 @@ def inference_key(
     excluded because they cannot change a bit of the result, so a
     topology inferred with ``jobs=8`` serves a ``jobs=1`` request.
 
-    The daemon and the router derive a key on every frame, so digests
-    are memoized.  The memo is keyed on each input's type and ``repr``,
-    not on the config object: configs holding ``1`` and ``True``, ``3``
-    and ``3.0``, or ``0.0`` and ``-0.0`` are equal and hash alike, yet
-    their canonical JSON, and so their digest, differs.
+    Configs holding ``1`` and ``True``, ``3`` and ``3.0``, or ``0.0``
+    and ``-0.0`` are equal, yet their canonical JSON, and so their
+    digest, differs.  The daemon and the router, which need a key on
+    every frame, memoize it per raw request params
+    (:class:`~repro.service.handlers.TopologyParamsMemo`).
     """
     table = table or LatencyTableConfig()
-    values = (machine, seed, *table.cache_key_dict().values())
-    text = repr(values)
-    if len(text) > _KEY_MEMO_MAX_REPR:
-        return _digest(machine, seed, table)
-    probe = (text, *map(type, values))
-    key = _KEY_MEMO.get(probe)
-    if key is None:
-        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-            _KEY_MEMO.clear()
-        key = _KEY_MEMO[probe] = _digest(machine, seed, table)
-    return key
-
-
-def _digest(machine: str, seed: int, table: LatencyTableConfig) -> str:
     doc = {
         "format": "mctop-inference-key",
         "version": KEY_FORMAT_VERSION,

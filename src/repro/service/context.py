@@ -12,6 +12,7 @@ exactly the propagation the trace needs.
 
 from __future__ import annotations
 
+import os
 from contextvars import ContextVar
 
 #: The id of the request currently being dispatched, or ``None``
@@ -20,3 +21,13 @@ from contextvars import ContextVar
 current_request_id: ContextVar[str | None] = ContextVar(
     "mctopd_request_id", default=None
 )
+
+
+def new_request_id() -> str:
+    """A fresh 16-hex-char request id: 64 random bits.
+
+    The server mints one per frame and the drift watcher one per check.
+    (A ``uuid4`` hex prefix would carry only 60: its 13th digit is the
+    UUID version, always ``4``.)
+    """
+    return os.urandom(8).hex()

@@ -8,10 +8,12 @@ drain, request completion), answers the verbs of
 :class:`~repro.service.handlers.Handlers`, and serves each connection a
 :class:`~repro.service.handlers.Session` of its own.
 
-Every request runs under ``request_timeout`` seconds
-(``asyncio.timeout``, a timer on the connection's own task rather than
-a new Task per request); the client gets a ``timeout`` error, the
-underlying single-flight inference keeps running for later waiters.
+Every request runs under ``request_timeout`` seconds; the client gets a
+``timeout`` error, the underlying single-flight inference keeps running
+for later waiters.  The timer is armed only when a request suspends
+(:func:`~repro.service.server.bounded`): a warm ``place`` finishes
+without suspending, so asyncio could never have interrupted it, and it
+pays for no timer.
 
 Everything is observable: request counts and latencies per verb, queue
 depth, cache hit/miss/eviction counters and single-flight coalesce
@@ -36,6 +38,7 @@ from repro.service.protocol import VERBS, Request
 from repro.service.server import (
     NdjsonServer,
     RequestRecord,
+    bounded,
     inet_port,
     run_server,
 )
@@ -241,10 +244,8 @@ class MctopDaemon(NdjsonServer):
         """One :class:`Handlers` verb, under ``request_timeout``."""
         handler = getattr(self.handlers, request.verb)
         try:
-            # One timer handle on this task, not a Task per request: a
-            # warm ``place`` never suspends.
-            async with asyncio.timeout(self.config.request_timeout):
-                result = await handler(request.params, session)
+            result = await bounded(handler(request.params, session),
+                                   self.config.request_timeout)
         except TimeoutError:
             raise ServiceError(
                 f"request exceeded {self.config.request_timeout}s",

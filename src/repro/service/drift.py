@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import uuid
 
 from repro.core.algorithm import InferenceConfig, LatencyTableConfig
 from repro.core.algorithm.inference import infer_topology
@@ -48,7 +47,7 @@ from repro.obs.diff import (
 )
 from repro.obs.events import EventLog
 from repro.service.cache import InferenceCache, inference_key
-from repro.service.context import current_request_id
+from repro.service.context import current_request_id, new_request_id
 
 
 class MachineDriftState:
@@ -155,7 +154,7 @@ class DriftWatcher:
     async def check_one(self, machine: str) -> DriftReport:
         """One re-measure-and-diff pass for one machine."""
         state = self.states[machine]
-        rid = uuid.uuid4().hex[:16]
+        rid = new_request_id()
         token = current_request_id.set(rid)
         try:
             with self.obs.span("service.drift_check", machine=machine,

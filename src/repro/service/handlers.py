@@ -102,6 +102,72 @@ def parse_inference_params(
     return machine, seed, table
 
 
+#: What a frame did not send, told apart from an explicit ``null`` (a
+#: missing ``seed`` means ``0``; a null one does not).
+_ABSENT = object()
+
+
+class TopologyParamsMemo:
+    """An exact memo from a frame's raw topology params to ``(machine,
+    seed, table, key)``: what :func:`parse_inference_params` and then
+    :func:`~repro.service.cache.inference_key` make of them.
+
+    The daemon and the router resolve the same params on frame after
+    frame; each owns one memo.  A miss runs the two functions unchanged,
+    so every refusal is raised on every frame, with its own message and
+    in its own order, and a refusal is never kept.
+
+    The probe is the ``default_repetitions``, the catalog, and the type
+    and ``repr`` of the five raw values the parse reads, never the
+    values themselves: ``1``, ``True`` and ``1.0`` are equal and hash
+    alike, and so are ``0.0`` and ``-0.0``, yet they validate or digest
+    differently, at the top level and inside ``table`` alike.  Params
+    whose ``repr`` is longer than :attr:`MAX_REPR` characters (a real
+    request's is under 100) are resolved every time and never kept,
+    since a frame may be 16 MiB; the memo is cleared when it holds
+    :attr:`MAX_ENTRIES`.
+    """
+
+    MAX_ENTRIES = 512
+    MAX_REPR = 1024
+
+    def __init__(self):
+        self._memo: dict[tuple, tuple] = {}
+
+    def resolve(
+        self,
+        params: dict,
+        default_repetitions: int = 75,
+        known_machines: "tuple[str, ...] | None" = None,
+    ) -> tuple[str, int, LatencyTableConfig, str]:
+        """``(machine, seed, table, key)`` for ``params``, as the parse
+        with these arguments and then the digest make them."""
+        get = params.get
+        raw = (get("machine", _ABSENT), get("seed", _ABSENT),
+               get("repetitions", _ABSENT), get("jobs", _ABSENT),
+               get("table", _ABSENT))
+        try:
+            text = repr(raw)
+        except RecursionError:  # a table nested too deep to print
+            text = None
+        probe = None
+        if text is not None and len(text) <= self.MAX_REPR:
+            probe = (default_repetitions, known_machines, text,
+                     *map(type, raw))
+            resolved = self._memo.get(probe)
+            if resolved is not None:
+                return resolved
+        machine, seed, table = parse_inference_params(
+            params, default_repetitions, known_machines
+        )
+        resolved = (machine, seed, table, inference_key(machine, seed, table))
+        if probe is not None:
+            if len(self._memo) >= self.MAX_ENTRIES:
+                self._memo.clear()
+            self._memo[probe] = resolved
+        return resolved
+
+
 def parse_trace_params(params: dict) -> str:
     """Validate the ``trace`` verb's ``request_id``; the daemon and the
     fleet router both check it here, so they refuse alike."""
@@ -241,6 +307,7 @@ class Handlers:
         self.profiler = profiler
         self.default_repetitions = default_repetitions
         self.debug_verbs = debug_verbs
+        self._params = TopologyParamsMemo()
         #: Per-index memo of fully-formed placement result documents,
         #: shared by ``place`` and ``place_many``: an index is
         #: immutable, so a grid hit's document is a constant (see
@@ -260,12 +327,10 @@ class Handlers:
     # ------------------------------------------------------ topology plumbing
     def _inference_params(
         self, params: dict
-    ) -> tuple[str, int, LatencyTableConfig]:
-        return parse_inference_params(
-            params,
-            default_repetitions=self.default_repetitions,
-            known_machines=machine_names(),
-        )
+    ) -> tuple[str, int, LatencyTableConfig, str]:
+        """``(machine, seed, table, key)`` for a topology request."""
+        return self._params.resolve(params, self.default_repetitions,
+                                    machine_names())
 
     def _peer_order(self, key: str) -> list:
         """Ring-adjacent peers to ask for ``key``, nearest first.
@@ -328,8 +393,7 @@ class Handlers:
         leader) the MCTOP-ALG run all carry the dispatching request's
         ``request_id``, so one id follows a request end to end.
         """
-        machine, seed, table = self._inference_params(params)
-        key = inference_key(machine, seed, table)
+        machine, seed, table, key = self._inference_params(params)
         request_id = current_request_id.get()
         with self.obs.span("service.cache_lookup", key=key[:12],
                            request_id=request_id):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-import uuid
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.obs.trace_store import TraceStore
 from repro.service.accesslog import AccessLog
-from repro.service.context import current_request_id
+from repro.service.context import current_request_id, new_request_id
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     VERBS,
@@ -54,9 +54,55 @@ from repro.service.protocol import (
 )
 
 
-def _new_request_id() -> str:
-    """A 16-hex-char server-generated request id (64 random bits)."""
-    return uuid.uuid4().hex[:16]
+async def bounded(coro, timeout: float):
+    """Await ``coro`` under ``timeout`` seconds, arming a timer only if
+    it suspends.
+
+    The deadline is read before the coroutine's first step, when
+    ``asyncio.timeout(timeout)`` would read it.  A coroutine that
+    finishes without suspending cannot be interrupted by asyncio, so it
+    needs no timer: its value is returned and its exception propagates.
+    One that suspends goes on under ``asyncio.timeout_at(deadline)``,
+    so it times out with ``TimeoutError``, or is cancelled, exactly as
+    inside ``async with asyncio.timeout(timeout)``.  A warm ``place``
+    never suspends; a cold ``infer`` does.
+    """
+    deadline = asyncio.get_running_loop().time() + timeout
+    try:
+        suspended_on = coro.send(None)
+    except StopIteration as done:
+        return done.value
+    entered = False
+    try:
+        async with asyncio.timeout_at(deadline):
+            entered = True
+            return await _resume(coro, suspended_on)
+    finally:
+        if not entered:
+            coro.close()
+
+
+@types.coroutine
+def _resume(coro, suspended_on):
+    """``yield from coro`` for a coroutine that has already taken its
+    first step: hand the task what it suspended on, then forward what
+    the task sends or throws until it returns."""
+    while True:
+        try:
+            sent = yield suspended_on
+        except GeneratorExit:
+            coro.close()
+            raise
+        except BaseException as exc:
+            try:
+                suspended_on = coro.throw(exc)
+            except StopIteration as done:
+                return done.value
+        else:
+            try:
+                suspended_on = coro.send(sent)
+            except StopIteration as done:
+                return done.value
 
 
 def inet_port(servers) -> int | None:
@@ -160,6 +206,11 @@ class NdjsonServer:
         self.routes: dict = {}
         #: The route for any other verb; ``None`` answers ``unknown_verb``.
         self.fallback = None
+        #: ``verb -> (request counter, latency timer)`` and the queue
+        #: depth gauge, each looked up on the first frame that needs it,
+        #: so the registry holds what it would with a lookup per frame.
+        self._verb_instruments: dict = {}
+        self._queue_depth = None
         self._servers: list[asyncio.base_events.Server] = []
         self._connections: set[asyncio.Task] = set()
         self._inflight = 0
@@ -308,7 +359,7 @@ class NdjsonServer:
             try:
                 line = await reader.readline()
             except (asyncio.LimitOverrunError, ValueError):
-                rec = RequestRecord(_new_request_id(), time.perf_counter(),
+                rec = RequestRecord(new_request_id(), time.perf_counter(),
                                     outcome="bad_request")
                 await self._answer(writer, rec, error_response(
                     None, "bad_request",
@@ -320,7 +371,7 @@ class NdjsonServer:
                 return  # EOF
             if line.strip() == b"":
                 continue
-            rec = RequestRecord(_new_request_id(), time.perf_counter())
+            rec = RequestRecord(new_request_id(), time.perf_counter())
             await self._answer(writer, rec,
                                await self._dispatch(line, state, rec))
 
@@ -438,9 +489,20 @@ class NdjsonServer:
         self._inflight += 1
         timer = None
         if verb in self.routes:
-            self.obs.counter(f"{self.prefix}.requests.{verb}").inc()
-            timer = self.obs.timer(f"{self.prefix}.latency.{verb}")
-        self.obs.gauge(f"{self.prefix}.queue_depth").set(self._inflight)
+            instruments = self._verb_instruments.get(verb)
+            if instruments is None:
+                instruments = self._verb_instruments[verb] = (
+                    self.obs.counter(f"{self.prefix}.requests.{verb}"),
+                    self.obs.timer(f"{self.prefix}.latency.{verb}"),
+                )
+            requests, timer = instruments
+            requests.inc()
+        queue_depth = self._queue_depth
+        if queue_depth is None:
+            queue_depth = self._queue_depth = self.obs.gauge(
+                f"{self.prefix}.queue_depth"
+            )
+        queue_depth.set(self._inflight)
         # The sampler thread cannot read the asyncio ContextVar, so
         # publish (verb, rid) for it explicitly around the route.
         profile_handle = None
@@ -463,7 +525,7 @@ class NdjsonServer:
             elapsed = time.perf_counter() - start
             rec.handler_ms = elapsed * 1e3
             self._inflight -= 1
-            self.obs.gauge(f"{self.prefix}.queue_depth").set(self._inflight)
+            queue_depth.set(self._inflight)
             if timer is not None:
                 timer.observe(elapsed)
                 # Label the latency exemplar with the fleet-wide id

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.hardware import MeasurementContext, get_machine
@@ -40,3 +42,34 @@ def testbox():
 @pytest.fixture()
 def testbox_probe(testbox):
     return MeasurementContext(testbox, seed=11)
+
+
+class _TimeoutTimers:
+    """Counts the ``asyncio.timeout`` timers armed on ``loop`` while
+    open; ``count`` holds the tally."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.count = 0
+
+    def __enter__(self):
+        real = self.loop.call_at
+
+        def call_at(when, callback, *args, **kwargs):
+            if isinstance(getattr(callback, "__self__", None),
+                          asyncio.Timeout):
+                self.count += 1
+            return real(when, callback, *args, **kwargs)
+
+        self.loop.call_at = call_at
+        return self
+
+    def __exit__(self, *exc):
+        del self.loop.call_at
+
+
+@pytest.fixture()
+def timeout_timers():
+    """``with timeout_timers(loop) as timers:`` counts the timeouts
+    armed on a server's event loop in ``timers.count``."""
+    return _TimeoutTimers

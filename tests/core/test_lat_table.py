@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -190,37 +191,60 @@ def test_figure5_protocol_subtracts_overhead(testbox):
 
 
 class TestMedian:
-    """``_median`` is ``float(np.median(a))`` bit for bit: the stability
-    verdict, and so every golden, rests on the median's exact value."""
+    """``_median`` is ``float(np.median(a))`` and ``_std`` is
+    ``float(np.std(a))``, bit for bit: the stability verdict, and so
+    every golden, rests on their exact values."""
 
     @staticmethod
     def _bits(value: float) -> bytes:
         return np.float64(value).tobytes()
 
+    @staticmethod
+    def _corpus(sizes):
+        """Rounded normal samples, some with ±0.0, some with ±NaN and
+        ±inf, 40 arrays of each size."""
+        rng = np.random.default_rng(11)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for size in sizes:
+            for trial in range(40):
+                a = np.round(rng.normal(100.0, 5.0, size), trial % 3)
+                if size and trial % 4 == 1:
+                    a[rng.integers(0, size, 1 + size // 4)] = 0.0
+                    a[rng.integers(0, size, 1 + size // 4)] = -0.0
+                elif size and trial % 4 == 2:
+                    picks = rng.integers(0, size, 1 + size // 10)
+                    a[picks] = rng.choice(specials, picks.size)
+                yield size, trial, a
+
     def test_matches_np_median_bit_for_bit(self):
         from repro.core.algorithm.lat_table import _median
 
-        rng = np.random.default_rng(11)
-        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
-        for size in list(range(1, 12)) + [31, 74, 75, 76, 2000]:
-            for trial in range(40):
-                a = np.round(rng.normal(100.0, 5.0, size), trial % 3)
-                if trial % 4 == 1:
-                    a[rng.integers(0, size, 1 + size // 4)] = 0.0
-                    a[rng.integers(0, size, 1 + size // 4)] = -0.0
-                elif trial % 4 == 2:
-                    picks = rng.integers(0, size, 1 + size // 10)
-                    a[picks] = rng.choice(specials, picks.size)
-                got = _median(a)
-                want = float(np.median(a))
+        for size, trial, a in self._corpus(
+                list(range(1, 12)) + [31, 74, 75, 76, 2000]):
+            got = _median(a)
+            want = float(np.median(a))
+            assert self._bits(got) == self._bits(want), (size, trial)
+
+    def test_std_matches_np_std_bit_for_bit(self):
+        from repro.core.algorithm.lat_table import _std
+
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for size, trial, a in self._corpus(
+                    list(range(0, 12)) + [31, 60, 74, 75, 76, 2000]):
+                before = a.tobytes()
+                got = _std(a)
+                assert a.tobytes() == before, (size, trial)
+                want = float(np.std(a))
                 assert self._bits(got) == self._bits(want), (size, trial)
 
     def test_leaves_the_samples_untouched(self):
-        from repro.core.algorithm.lat_table import _median
+        from repro.core.algorithm.lat_table import _median, _std
 
         a = np.random.default_rng(2).normal(50.0, 3.0, 75)
         before = a.copy()
         _median(a)
+        _std(a)
         assert a.tobytes() == before.tobytes()
 
 

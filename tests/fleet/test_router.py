@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.fleet.members import MemberConnection, MemberSpec
 from repro.service import MAX_LINE_BYTES, inference_key
-from repro.service.cache import _KEY_MEMO, _KEY_MEMO_MAX_REPR
 from repro.service.handlers import parse_inference_params
 
 
@@ -337,6 +337,47 @@ class TestAccessLog:
         assert line["member"] in ("m0", "m1", "m2")
 
 
+class TestMemberTimers:
+    def test_a_forwarded_warm_place_arms_only_the_routers_read(
+            self, fleet, timeout_timers):
+        """Through the router, the member's route and the router's
+        drain finish without suspending; only waiting for the member's
+        answer needs a timer."""
+        # The health loop sweeps once as it starts, then every 30 s;
+        # its probes arm timers of their own, so measure after it.
+        registry = fleet.router.obs.registry
+        deadline = time.monotonic() + 10
+        while registry.value("fleet.health.sweeps", 0) < 2:
+            assert time.monotonic() < deadline, "no second health sweep"
+            time.sleep(0.01)
+        with fleet.client() as client:
+            client.request("place", machine="testbox", seed=5,
+                           policy="RR_CORE", threads=4)
+            with timeout_timers(fleet.loop) as timers:
+                for threads in range(1, 9):
+                    client.request("place", machine="testbox", seed=5,
+                                   policy="RR_CORE", threads=threads)
+        assert timers.count == 8
+
+    def test_a_mute_member_read_still_times_out(self, tmp_path):
+        """A member that accepts and never answers: the read times out
+        with ``TimeoutError``, which is what the router fails over on."""
+        async def main():
+            path = str(tmp_path / "mute.sock")
+            server = await asyncio.start_unix_server(
+                lambda reader, writer: None, path=path
+            )
+            conn = MemberConnection(MemberSpec(id="mute", unix_path=path))
+            try:
+                with pytest.raises(TimeoutError):
+                    await conn.request("ping", {}, 0.05)
+            finally:
+                await conn.close()
+                server.close()
+
+        asyncio.run(main())
+
+
 class TestRobustness:
     def test_oversized_frame_is_rejected_logged_and_dropped(self, fleet):
         frame = (b'{"verb": "ping", "pad": "' + b"x" * MAX_LINE_BYTES
@@ -373,14 +414,19 @@ class TestRobustness:
     def test_a_huge_machine_name_is_not_memoized(self, fleet):
         """The router digests any machine string (catalog checks are
         the member's), so a multi-MiB name is refused by the member and
-        leaves nothing behind in the process-wide key memo."""
+        leaves nothing behind in the router's or a member's params
+        memo."""
         machine = "x" * (4 << 20)
         with fleet.client() as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.request("place", machine=machine, seed=1)
         assert excinfo.value.code == "invalid_params"
-        assert all(len(probe[0]) <= _KEY_MEMO_MAX_REPR
-                   for probe in _KEY_MEMO)
+        memos = [fleet.router._params] + [
+            daemon.handlers._params for daemon in fleet.daemons.values()
+        ]
+        for memo in memos:
+            assert all(len(probe[2]) <= memo.MAX_REPR
+                       for probe in memo._memo)
 
     def test_backpressure(self, fleet_factory):
         fleet = fleet_factory(router_overrides={"max_pending": 1})

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
 from repro.obs import Observability, Tracer, to_chrome_trace, to_json
+from repro.obs.tracer import Span
 from repro.obs.export import render_report, write_chrome_trace
 
 
@@ -170,6 +172,136 @@ class TestConcurrentTaskStacks:
         assert spans["request.b"].parent_id is None
         assert spans["request.a"].depth == 0
         assert spans["inner.b"].depth == 1
+
+
+class GeneratorSpanTracer(Tracer):
+    """The tracer with ``span`` as the ``@contextmanager`` generator it
+    used to be: the reference for :meth:`Tracer.span`."""
+
+    @contextmanager
+    def span(self, name: str, **args):
+        span_id = self._next_id
+        self._next_id += 1
+        stack = self._stack_var.get()
+        parent = stack[-1][0] if stack else None
+        depth = len(stack)
+        token = self._stack_var.set(stack + ((span_id, name),))
+        start = self._now_us()
+        try:
+            yield span_id
+        finally:
+            end = self._now_us()
+            self._stack_var.reset(token)
+            self.finished_spans += 1
+            self._record(Span(id=span_id, name=name, start_us=start,
+                              dur_us=end - start, depth=depth,
+                              parent_id=parent, args=args))
+
+
+class TestSpanMatchesTheGeneratorSpan:
+    """Every scenario, run on the tracer and on the reference under a
+    counter clock and a sink, leaves the same events, counts and sink
+    calls, and hands out the same span ids."""
+
+    @staticmethod
+    def _run(tracer_cls, scenario, capacity: int = 8192):
+        tracer = tracer_cls(capacity=capacity, clock=make_clock(0.25))
+        calls = []
+
+        def sink(event):
+            calls.append(event.to_dict())
+            if event.name == "sink.fails":
+                raise RuntimeError("sink exploded")
+
+        tracer.sink = sink
+        ids = scenario(tracer)
+        return {
+            "ids": ids,
+            "events": [event.to_dict() for event in tracer.events],
+            "calls": calls,
+            "summary": tracer.summary(),
+            "adopted": tracer.adopted_spans,
+            "depth": tracer.active_depth,
+        }
+
+    def _same(self, scenario, capacity: int = 8192) -> dict:
+        got = self._run(Tracer, scenario, capacity)
+        want = self._run(GeneratorSpanTracer, scenario, capacity)
+        assert got == want
+        return got
+
+    def test_nested_spans_instants_and_args(self):
+        def scenario(tracer):
+            ids = []
+            with tracer.span("outer", verb="place") as outer:
+                ids.append(outer)
+                tracer.instant("marker", n=1)
+                with tracer.span("inner", key="abc") as inner:
+                    ids.append(inner)
+                    tracer.adopt_span("worker", 5.0, chunk=0)
+                with tracer.span("sink.fails") as failing:
+                    ids.append(failing)
+            # Ids are taken on entry, not when the span is made.
+            first = tracer.span("made.first")
+            second = tracer.span("made.second")
+            with second as second_id, first as first_id:
+                ids.extend((first_id, second_id))
+            return ids
+
+        result = self._same(scenario)
+        assert result["summary"]["sink_errors"] == 1
+
+    def test_raising_spans(self):
+        def scenario(tracer):
+            raised = []
+            for error in (ValueError("v"), KeyError("k"), StopIteration(3),
+                          GeneratorExit()):
+                try:
+                    with tracer.span("outer"):
+                        with tracer.span("raises", kind=type(error).__name__):
+                            raise error
+                except BaseException as exc:
+                    raised.append((type(exc).__name__, exc is error))
+            return raised
+
+        result = self._same(scenario)
+        assert result["ids"] == [("ValueError", True), ("KeyError", True),
+                                 ("StopIteration", True),
+                                 ("GeneratorExit", True)]
+        assert result["depth"] == 0
+
+    def test_interleaved_tasks(self):
+        import asyncio
+
+        def scenario(tracer):
+            async def request(name: str) -> None:
+                with tracer.span(f"request.{name}", request_id=name):
+                    await asyncio.sleep(0)
+                    with tracer.span(f"inner.{name}"):
+                        await asyncio.sleep(0)
+                        tracer.instant(f"mark.{name}")
+                    if name == "b":
+                        raise ValueError(name)
+
+            async def main() -> list:
+                outcomes = await asyncio.gather(
+                    request("a"), request("b"), request("c"),
+                    return_exceptions=True,
+                )
+                return [repr(outcome) for outcome in outcomes]
+
+            return asyncio.run(main())
+
+        self._same(scenario)
+
+    def test_drops_at_capacity(self):
+        def scenario(tracer):
+            for i in range(7):
+                with tracer.span("s", i=i):
+                    tracer.instant("i", i=i)
+
+        result = self._same(scenario, capacity=4)
+        assert result["summary"]["dropped_spans"] > 0
 
 
 class TestExport:

@@ -19,20 +19,18 @@ from repro.core.algorithm import (
 )
 from repro.hardware import get_machine
 from repro.service.cache import (
-    _KEY_MEMO,
-    _KEY_MEMO_MAX_REPR,
     KEY_FORMAT_VERSION,
     InferenceCache,
     SingleFlight,
     inference_key,
 )
+from repro.service.handlers import TopologyParamsMemo, parse_inference_params
 
 TABLE = LatencyTableConfig(repetitions=9)
 
 
 def reference_key(machine, seed, table=None) -> str:
-    """``inference_key`` as it was before its memo: the digest of the
-    canonical JSON, worked out on every call."""
+    """The digest of the canonical JSON, worked out on every call."""
     table = table or LatencyTableConfig()
     doc = {
         "format": "mctop-inference-key",
@@ -84,17 +82,22 @@ class TestInferenceKey:
         assert inference_key("ivy", 1, one) != inference_key("ivy", 1, true)
 
     def test_long_inputs_are_digested_but_never_memoized(self):
-        """The inputs come from clients and a frame may be 16 MiB, so a
-        key whose inputs print long is worked out every time and never
-        kept: a few hundred such frames must not stay in memory."""
+        """The params come from clients and a frame may be 16 MiB, so
+        params that print long are resolved every time and never kept
+        by the daemon's or the router's memo: a few hundred such frames
+        must not stay in memory."""
         long_machine = "m" * (2 << 20)
-        long_floor = LatencyTableConfig(repetitions=9,
-                                        stdev_floor="9" * (2 << 20))
-        for machine, table in ((long_machine, TABLE), ("ivy", long_floor)):
-            assert inference_key(machine, 1, table) \
-                == reference_key(machine, 1, table)
-        assert all(len(probe[0]) <= _KEY_MEMO_MAX_REPR
-                   for probe in _KEY_MEMO)
+        long_floor = {"repetitions": 9, "stdev_floor": "9" * (2 << 20)}
+        memo = TopologyParamsMemo()
+        for params in ({"machine": long_machine, "seed": 1,
+                        "table": TABLE.to_dict()},
+                       {"machine": "ivy", "seed": 1, "table": long_floor}):
+            machine, seed, table, key = memo.resolve(params)
+            assert key == reference_key(machine, seed, table)
+            assert memo.resolve(params)[3] == key
+        assert len(memo._memo) == 0
+        assert inference_key(long_machine, 1, TABLE) \
+            == reference_key(long_machine, 1, TABLE)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(history=st.lists(st.tuples(
@@ -107,16 +110,28 @@ class TestInferenceKey:
         st.sampled_from(("auto", "pair")),
     ), min_size=1, max_size=30))
     def test_memo_matches_the_unmemoized_digest(self, history):
-        """Histories of configs that are equal but typed differently, in
-        any order: every answer is the reference digest."""
+        """Histories of params that are equal but typed differently, in
+        any order, through one memo: every answer is the reference
+        digest of what the parse makes of the params."""
+        memo = TopologyParamsMemo()
         for machine, seed, warm_up, floor, discard, jobs, sampling \
                 in history:
-            table = LatencyTableConfig(
-                repetitions=9, warm_up=warm_up, stdev_floor=floor,
-                max_discard_fraction=discard, jobs=jobs, sampling=sampling,
-            )
-            assert inference_key(machine, seed, table) \
-                == reference_key(machine, seed, table)
+            params = {"machine": machine, "seed": seed, "table": {
+                "repetitions": 9, "warm_up": warm_up, "stdev_floor": floor,
+                "max_discard_fraction": discard, "jobs": jobs,
+                "sampling": sampling,
+            }}
+            try:
+                want = parse_inference_params(params)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as excinfo:
+                    memo.resolve(params)
+                assert str(excinfo.value) == str(exc)
+                continue
+            machine, seed, table, key = memo.resolve(params)
+            assert repr((machine, seed, table)) == repr(want)
+            assert key == reference_key(*want)
+        assert len(memo._memo) <= TopologyParamsMemo.MAX_ENTRIES
 
 
 class TestInferenceCache:

@@ -9,7 +9,9 @@ and raw traces.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import re
 import socket
 import time
 import urllib.error
@@ -42,6 +44,47 @@ class TestRequestIds:
         for rid in (rid_ping, rid_infer):
             assert isinstance(rid, str) and len(rid) == 16
             int(rid, 16)  # hex
+
+    def test_ids_carry_64_random_bits(self, harness, tmp_path, monkeypatch):
+        """Ids minted by the server (one per frame) and by the drift
+        watcher (one per check) are 16 lowercase hex digits, all
+        distinct, and the 13th digit varies: it is not a UUID's version
+        digit, always ``4``."""
+        from repro.core.algorithm import (
+            InferenceConfig,
+            LatencyTableConfig,
+            infer_topology,
+        )
+        from repro.hardware import get_machine
+        from repro.obs import Observability
+        from repro.service import DriftWatcher, InferenceCache, drift
+
+        with harness.client() as client:
+            served = []
+            for _ in range(256):
+                client.ping()
+                served.append(client.last_request_id)
+        table = LatencyTableConfig(repetitions=15)
+        topology = infer_topology(get_machine("testbox"), seed=0,
+                                  config=InferenceConfig(table=table))
+        monkeypatch.setattr(drift, "infer_topology",
+                            lambda *args, **kwargs: topology)
+        obs = Observability()
+        watcher = DriftWatcher(InferenceCache(obs=obs), obs,
+                               machines=("testbox",), interval=60.0,
+                               table=table)
+
+        async def checks() -> None:
+            for _ in range(256):
+                await watcher.check_one("testbox")
+
+        asyncio.run(checks())
+        watched = [span.args["request_id"] for span
+                   in obs.tracer.spans_named("service.drift_check")]
+        for ids in (served, watched):
+            assert len(ids) == len(set(ids)) == 256
+            assert all(re.fullmatch("[0-9a-f]{16}", rid) for rid in ids)
+            assert {rid[12] for rid in ids} != {"4"}
 
     def test_error_responses_carry_a_request_id_too(self, harness):
         with harness.client() as client:
