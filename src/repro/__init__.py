@@ -24,13 +24,13 @@ for power users and remain stable.
 
 Quickstart
 ----------
->>> from repro import infer, place
+>>> from repro import PlacementPool, infer, place
 >>> mctop = infer("ivy", seed=1)
 >>> mctop.n_sockets, mctop.n_cores, mctop.has_smt
 (2, 20, True)
 >>> place(mctop, "RR_CORE", 8).ordering     # indexed placement query
 (0, 10, 1, 11, 2, 12, 3, 13)
->>> pool = mctop.placements                 # legacy per-topology pool
+>>> pool = PlacementPool(mctop)             # switch policy between phases
 """
 
 from repro.errors import (

@@ -90,9 +90,7 @@ class Mctop:
         # Context ids need not be contiguous (renumbered/synthetic
         # machines); the latency table rows follow sorted-id order.
         self._ctx_rows = {cid: i for i, cid in enumerate(sorted(contexts))}
-        #: Lazy caches for the placement API: the ``placements`` pool
-        #: and the precomputed per-policy index (built on first use).
-        self._placements = None
+        #: The precomputed placement index, built on first use.
         self._placement_index = None
         self._validate_linkage()
 
@@ -328,18 +326,6 @@ class Mctop:
         return out
 
     # --------------------------------------------------------- placement
-    @property
-    def placements(self):
-        """The topology's shared, unbounded placement pool (lazily
-        built, cached), so every consumer of the same topology shares
-        one memoized :class:`~repro.place.pool.PlacementPool`.
-        """
-        if self._placements is None:
-            from repro.place.pool import PlacementPool
-
-            self._placements = PlacementPool(self)
-        return self._placements
-
     def placement_index(self):
         """The precomputed per-policy placement index, built from this
         topology on first call and cached on it."""

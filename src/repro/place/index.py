@@ -6,15 +6,18 @@ A :class:`PlacementIndex` works out the ordering and the max latency
 of every policy of Table 2 across the useful ``n_threads``/
 ``n_sockets`` grid once — at cache-insert time in ``mctopd``, or on
 first use through the facade — and turns each query into one dict
-probe.  The build stores only those two; an entry's Figure-7 stats
+probe.  It is the only thing that answers a placement in ``mctopd``:
+``place``, ``place_many`` and ``pool_switch`` all read it.  The build
+stores only orderings and max latencies; an entry's Figure-7 stats
 block is rendered on that key's first lookup and stored back in the
 entry, so a build renders no stats block and an index nobody queries
 (a cold ``infer`` with no ``place`` after it) never renders one.
 
-Byte-identity with the legacy compute path is the contract: orderings
-come from the same `repro.place.policies` helpers and stats strings
-from the same :func:`~repro.place.placement.render_stats` formatter, so
-an indexed ``place`` response is indistinguishable from a computed one.
+Byte-identity with :class:`~repro.place.placement.Placement` is the
+contract: orderings come from the same `repro.place.policies` helpers
+and stats strings from the same
+:func:`~repro.place.placement.render_stats` formatter, so an indexed
+answer is indistinguishable from a computed one.
 
 Two structural facts keep the build fast and the index small:
 
@@ -24,7 +27,7 @@ Two structural facts keep the build fast and the index small:
   and the per-prefix max latency falls out of one vectorized
   prefix-max over the ordered latency submatrix.
 * The BALANCE_* orderings do depend on ``n_threads``, but only through
-  `_balanced_counts` slicing of per-socket suborders that are computed
+  `_balance_order`'s split of per-socket suborders that are computed
   once per socket.
 
 The index is never persisted: :meth:`PlacementIndex.build`, run by the
@@ -45,8 +48,7 @@ from repro.place.placement import Placement, render_stats
 from repro.place.policies import (
     ALL_POLICIES,
     Policy,
-    _balanced_counts,
-    _interleave,
+    _balance_order,
     _order_for,
     _socket_core_first_order,
     _socket_hwc_order,
@@ -74,18 +76,6 @@ class PlacementResult:
         return len(self.ordering)
 
 
-def _balance_ordering(per_socket: list[list[int]], nt: int,
-                      ns: int) -> list[int]:
-    """The BALANCE_* ordering for ``nt`` threads, replicating the
-    head/tail slicing of ``policies._order_for`` exactly."""
-    counts = _balanced_counts(nt, ns)
-    out = [c for p, n in zip(per_socket, counts) for c in p[:n]]
-    if len(out) < nt:
-        tail = [p[n:] for p, n in zip(per_socket, counts)]
-        out.extend(_interleave(tail) if any(tail) else [])
-    return out[:nt]
-
-
 class PlacementIndex:
     """Every Table-2 placement for one topology, precomputed.
 
@@ -93,8 +83,8 @@ class PlacementIndex:
     (``n_sockets=None`` means the full socket chain, ``n_threads=None``
     the chain's full context capacity).  The grid covers every valid
     query, so :meth:`lookup` (the strict probe) misses only on an
-    invalid or unsupported one, for which :meth:`get` raises the same
-    :class:`~repro.errors.PlacementError` the legacy path raises.
+    invalid or unsupported one, for which :meth:`get` raises the
+    :class:`~repro.errors.PlacementError` that :class:`Placement` raises.
     """
 
     def __init__(self, mctop: Mctop):
@@ -171,7 +161,7 @@ class PlacementIndex:
                 ]
                 cap = sum(len(p) for p in per_socket)
                 for nt in range(1, cap + 1):
-                    ordering = _balance_ordering(per_socket, nt, ns)
+                    ordering = _balance_order(per_socket, nt)
                     if nt > 1:
                         rows = self._rows(ordering)
                         max_lat = int(
@@ -199,33 +189,6 @@ class PlacementIndex:
                         None, None, int(prefix_max[nt - 1]),
                     )
                 full_out[(policy.value, ns)] = full
-
-    def _render(self, policy: Policy, ordering: tuple[int, ...],
-                max_lat: int) -> str:
-        """The Figure-7 stats block of one entry, through the shared
-        :func:`~repro.place.placement.render_stats`."""
-        mctop = self.mctop
-        sockets: list[int] = []
-        ctxps: dict[int, int] = {}
-        cps: dict[int, int] = {}
-        seen_cores: set[int] = set()
-        for ctx in ordering:
-            s = mctop.socket_of_context(ctx)
-            core = mctop.core_of_context(ctx)
-            if s not in ctxps:
-                sockets.append(s)
-                ctxps[s] = 0
-                cps[s] = 0
-            ctxps[s] += 1
-            if core not in seen_cores:
-                seen_cores.add(core)
-                cps[s] += 1
-        return render_stats(
-            mctop, policy, ordering,
-            sockets=sockets, ctxps=ctxps, cps=cps,
-            n_cores=len(seen_cores), max_latency=max_lat,
-            socket_sizes=self._socket_sizes,
-        )
 
     # ------------------------------------------------------------ lookup
     def _normalize(
@@ -261,7 +224,10 @@ class PlacementIndex:
             # The key's first lookup renders its stats block and stores
             # it back; one dict assignment, so no lock: two threads
             # racing here render the same bytes twice.
-            stats = self._render(Policy(key[0]), ordering, max_lat)
+            stats = render_stats(
+                self.mctop, Policy(key[0]), ordering, max_latency=max_lat,
+                socket_sizes=self._socket_sizes,
+            )
             self._entries[key] = (entry[0], stats, max_lat)
         return PlacementResult(
             policy=key[0], ordering=ordering, stats=stats,
@@ -274,9 +240,9 @@ class PlacementIndex:
         n_threads: int | None = None,
         n_sockets: int | None = None,
     ) -> PlacementResult:
-        """Lookup, computing through the legacy path on a miss — so it
-        raises exactly what ``Placement`` would for the invalid query
-        that is the only way to miss."""
+        """Lookup, computing through :class:`Placement` on a miss — so
+        it raises exactly what ``Placement`` raises for the invalid or
+        unsupported query that is the only way to miss."""
         result = self.lookup(policy, n_threads, n_sockets)
         if result is not None:
             return result

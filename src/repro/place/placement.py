@@ -39,22 +39,34 @@ def render_stats(
     policy: Policy,
     ordering: Sequence[int],
     *,
-    sockets: list[int],
-    ctxps: dict[int, int],
-    cps: dict[int, int],
-    n_cores: int,
     max_latency: int,
     socket_sizes: dict[int, int] | None = None,
 ) -> str:
-    """The Figure 7 report from precomputed per-socket aggregates.
+    """The Figure 7 report of one ordering and its max latency.
 
-    ``sockets`` and ``ctxps`` must be in first-seen ordering order (the
-    order ``Placement.sockets_used``/``contexts_per_socket`` produce) —
-    the power totals and the min-bandwidth scan iterate them in that
-    order, so a different insertion order could change float summation
-    and break byte-identity.  ``socket_sizes`` optionally memoizes
+    The per-socket aggregates come from one pass over ``ordering``, with
+    sockets in first-seen order (the order of
+    ``Placement.sockets_used``): the power totals and the min-bandwidth
+    scan iterate them in that order, so a different order could change
+    float summation.  ``socket_sizes`` optionally memoizes
     ``len(socket_get_contexts(s))`` for callers rendering many entries.
     """
+    sockets: list[int] = []
+    ctxps: dict[int, int] = {}
+    cps: dict[int, int] = {}
+    seen_cores: set[int] = set()
+    for ctx in ordering:
+        s = mctop.socket_of_context(ctx)
+        if s not in ctxps:
+            sockets.append(s)
+            ctxps[s] = 0
+            cps[s] = 0
+        ctxps[s] += 1
+        core = mctop.core_of_context(ctx)
+        if core not in seen_cores:
+            seen_cores.add(core)
+            cps[s] += 1
+    n_cores = len(seen_cores)
     n_threads = len(ordering)
     total = sum(ctxps.values())
     props = {s: n / total for s, n in ctxps.items()}
@@ -155,12 +167,6 @@ class Placement:
     @property
     def pins_threads(self) -> bool:
         return self.policy.pins_threads
-
-    @property
-    def in_use(self) -> bool:
-        """True while any thread is pinned (a live ``pool_switch``
-        session, say) — such placements must not be LRU-evicted."""
-        return bool(self._pinned)
 
     def pin(self) -> PinnedThread:
         """Pin the calling thread to the next available context."""
@@ -277,16 +283,8 @@ class Placement:
     # ------------------------------------------------------------- output
     def print_stats(self) -> str:
         """The Figure 7 report."""
-        return render_stats(
-            self.mctop,
-            self.policy,
-            self.ordering,
-            sockets=self.sockets_used(),
-            ctxps=self.contexts_per_socket(),
-            cps=self.cores_per_socket(),
-            n_cores=len(self.cores_used()),
-            max_latency=self.max_latency(),
-        )
+        return render_stats(self.mctop, self.policy, self.ordering,
+                            max_latency=self.max_latency())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

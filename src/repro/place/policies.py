@@ -128,6 +128,19 @@ def _balanced_counts(total: int, buckets: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(buckets)]
 
 
+def _balance_order(per_socket: list[list[int]], n_threads: int) -> list[int]:
+    """The BALANCE_* ordering of ``n_threads`` contexts (at most the
+    suborders' total): each socket's balanced share from the front of
+    its suborder, then, if a socket is too small for its share, the
+    rest round-robin over what the sockets have left."""
+    counts = _balanced_counts(n_threads, len(per_socket))
+    out = [c for p, n in zip(per_socket, counts) for c in p[:n]]
+    if len(out) < n_threads:
+        tail = _interleave([p[n:] for p, n in zip(per_socket, counts)])
+        out.extend(tail[:n_threads - len(out)])
+    return out
+
+
 # --------------------------------------------------------------- orders
 def compute_order(
     mctop: Mctop,
@@ -193,16 +206,11 @@ def _order_for(mctop: Mctop, policy: Policy, chain: list[int],
             Policy.BALANCE_CORE: _socket_core_first_order,
         }[policy]
         per_socket = [suborder(mctop, s) for s in chain]
-        total = n_threads if n_threads is not None else sum(
-            len(p) for p in per_socket
+        capacity = sum(len(p) for p in per_socket)
+        return _balance_order(
+            per_socket,
+            capacity if n_threads is None else min(n_threads, capacity),
         )
-        total = min(total, sum(len(p) for p in per_socket))
-        counts = _balanced_counts(total, len(chain))
-        head = [p[:c] for p, c in zip(per_socket, counts)]
-        tail = [p[c:] for p, c in zip(per_socket, counts)]
-        out = [c for h in head for c in h]
-        out.extend(_interleave(tail) if any(tail) else [])
-        return out
 
     if policy in (Policy.RR_HWC, Policy.RR_CORE):
         suborder = (

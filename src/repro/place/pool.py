@@ -4,16 +4,14 @@ Software systems change their placement needs between phases (the
 paper's OpenMP extension switches policy between parallel regions).
 The pool lazily instantiates one :class:`Placement` per (policy,
 n_threads, n_sockets) configuration and lets callers switch the active
-one at runtime.
-
-Long-lived holders (the ``mctopd`` per-connection sessions) can bound
-the pool with ``max_entries``: least-recently-used configurations are
-evicted, except the active one, which is never dropped.
+one at runtime.  It keeps every configuration it has made: its holders
+(the OpenMP runtime, the application studies) switch among a handful.
+``mctopd`` keeps no pool: it answers ``pool_switch`` from the
+topology's :class:`~repro.place.index.PlacementIndex` and remembers
+only each session's recent configurations.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.errors import PlacementError
 from repro.core.mctop import Mctop
@@ -24,12 +22,9 @@ from repro.place.policies import Policy
 class PlacementPool:
     """A pool of placements over one topology."""
 
-    def __init__(self, mctop: Mctop, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise PlacementError("max_entries must be >= 1 (or None)")
+    def __init__(self, mctop: Mctop):
         self.mctop = mctop
-        self.max_entries = max_entries
-        self._cache: OrderedDict[tuple, Placement] = OrderedDict()
+        self._cache: dict[tuple, Placement] = {}
         self._active_key: tuple | None = None
 
     def get(
@@ -45,29 +40,7 @@ class PlacementPool:
         if placement is None:
             placement = Placement(self.mctop, policy, n_threads, n_sockets)
             self._cache[key] = placement
-            self._evict()
-        else:
-            self._cache.move_to_end(key)
         return placement
-
-    def _evict(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._cache) > self.max_entries:
-            # The active placement, any placement with live pins (a
-            # session mid-``pool_switch``) and the entry just inserted
-            # are never dropped — evicting one would silently recompute
-            # it with fresh pin state on the next get().  Evict the
-            # oldest other entry instead; if every candidate is exempt,
-            # the pool temporarily overflows.
-            newest = next(reversed(self._cache))
-            for key, placement in self._cache.items():
-                if (key != self._active_key and key != newest
-                        and not placement.in_use):
-                    del self._cache[key]
-                    break
-            else:
-                return
 
     def set_policy(
         self,
@@ -79,13 +52,13 @@ class PlacementPool:
 
         Any pins of the previously active placement stay valid — the
         caller decides when its threads re-pin, exactly like the
-        paper's ``omp_set_binding_policy``.
+        paper's ``omp_set_binding_policy``.  A refused configuration
+        leaves the active one as it was.
         """
         policy = Policy(policy) if isinstance(policy, str) else policy
-        # Pin the key before get(): with a tight max_entries the new
-        # configuration must survive its own insertion's eviction pass.
+        placement = self.get(policy, n_threads, n_sockets)
         self._active_key = (policy, n_threads, n_sockets)
-        return self.get(policy, n_threads, n_sockets)
+        return placement
 
     @property
     def active(self) -> Placement:

@@ -1,20 +1,16 @@
 """Synchronous client for ``mctopd``.
 
-A blocking wrapper over a pool of socket connections: the CLI's
-``mctop query``, tests and any embedding application use it instead
-of hand-rolling the NDJSON framing.
-
-``pool_size`` connections (default 1) are opened lazily and used
-round-robin for stateless verbs, plus request *pipelining* via
-:meth:`request_many` (a sliding window of in-flight frames per
-connection; ``mctopd`` answers each connection's requests in order, so
-responses match up positionally).  Session-stateful verbs
-(``pool_switch``) are pinned to connection 0 so the server-side
-placement pool they mutate is always the same session.
+A blocking wrapper over one socket connection: the CLI's ``mctop
+query``, tests and any embedding application use it instead of
+hand-rolling the NDJSON framing.  The connection is one daemon session
+(``pool_switch`` state lives in it) and carries request *pipelining*
+via :meth:`request_many` (a sliding window of in-flight frames;
+``mctopd`` answers a connection's requests in order, so responses match
+up positionally).
 
 ::
 
-    with MctopClient(unix_path="/tmp/mctopd.sock", pool_size=4) as c:
+    with MctopClient(unix_path="/tmp/mctopd.sock") as c:
         c.infer("ivy", seed=1)
         c.place_many("ivy", [{"policy": "RR_CORE", "threads": t}
                              for t in range(1, 21)], seed=1)
@@ -89,16 +85,11 @@ class _Connection:
 
 
 class MctopClient:
-    """A blocking NDJSON client: one session, or a pipelined pool."""
+    """A blocking NDJSON client: one connection, one session."""
 
     #: Error codes worth a retry: the server was never reached (or went
     #: away before answering), or it explicitly said "try again later".
     RETRYABLE_CODES = ("unavailable", "backpressure")
-
-    #: Verbs whose effect lives in the per-connection server session;
-    #: in pooled mode they are pinned to connection 0 so every switch
-    #: lands in the same session's placement pool.
-    STATEFUL_VERBS = ("pool_switch",)
 
     def __init__(
         self,
@@ -108,7 +99,6 @@ class MctopClient:
         timeout: float = 120.0,
         retries: int = 0,
         backoff: float = 0.05,
-        pool_size: int = 1,
         _sleep=time.sleep,
     ):
         if unix_path is None and host is None:
@@ -119,8 +109,6 @@ class MctopClient:
             raise ValueError("retries must be >= 0")
         if backoff < 0:
             raise ValueError("backoff must be >= 0")
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         self.unix_path = str(unix_path) if unix_path is not None else None
         self.host = host
         self.port = port
@@ -133,10 +121,9 @@ class MctopClient:
         #: sleeps ``backoff * 2**k``, jittered ±50% so a herd of
         #: retrying clients does not re-stampede the daemon in phase.
         self.backoff = backoff
-        self.pool_size = pool_size
         self._sleep = _sleep
-        self._conns: list[_Connection | None] = [None] * pool_size
-        self._rr = 0
+        self._conn = _Connection(self.unix_path, self.host, self.port,
+                                 timeout)
         self._next_id = 0
         #: The server-generated ``request_id`` of the most recent
         #: response (success or error), or ``None`` before the first
@@ -158,30 +145,13 @@ class MctopClient:
         self.last_upstream: dict | None = None
 
     # ------------------------------------------------------------ plumbing
-    def _conn(self, index: int) -> _Connection:
-        conn = self._conns[index]
-        if conn is None:
-            conn = _Connection(self.unix_path, self.host, self.port,
-                               self.timeout)
-            self._conns[index] = conn
-        return conn.connect()
-
-    def _connection_for(self, verb: str) -> _Connection:
-        if self.pool_size == 1 or verb in self.STATEFUL_VERBS:
-            return self._conn(0)
-        index = self._rr % self.pool_size
-        self._rr += 1
-        return self._conn(index)
-
     def connect(self) -> "MctopClient":
-        """Eagerly open connection 0 (the rest open on first use)."""
-        self._conn(0)
+        """Open the connection now (a request opens it otherwise)."""
+        self._conn.connect()
         return self
 
     def close(self) -> None:
-        for conn in self._conns:
-            if conn is not None:
-                conn.close()
+        self._conn.close()
 
     def __enter__(self) -> "MctopClient":
         return self.connect()
@@ -236,7 +206,7 @@ class MctopClient:
         params_list = list(params_list)
         if not params_list:
             return []
-        conn = self._connection_for(verb)
+        conn = self._conn.connect()
         results: list[dict] = []
         pending: deque[int] = deque()
         sent = 0
@@ -265,7 +235,7 @@ class MctopClient:
         return results
 
     def _request_once(self, verb: str, params: dict) -> dict:
-        conn = self._connection_for(verb)
+        conn = self._conn.connect()
         self._next_id += 1
         request_id = self._next_id
         self.last_request_ids = []

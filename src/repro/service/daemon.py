@@ -182,7 +182,6 @@ class MctopDaemon(NdjsonServer):
             self.cache,
             self.obs,
             default_repetitions=config.default_repetitions,
-            debug_verbs=config.debug_verbs,
             watcher=self.watcher,
             member_id=config.member_id,
             peers=peer_specs,

@@ -10,10 +10,14 @@ store write that follows (:meth:`InferenceCache.put_async`), a store
 load on a memory miss (:meth:`InferenceCache.get_async`, under the
 single-flight) and the placement-index build.
 
-Session state (the per-connection :class:`PlacementPool` of the
-``pool_switch`` verb) lives in :class:`Session`, one per client
-connection — mirroring the paper's OpenMP extension where each runtime
-owns its pool and switches policy between parallel regions.
+Every placement (``place``, ``place_many``, ``pool_switch``) is
+answered from the topology's
+:class:`~repro.place.index.PlacementIndex`.  Session state lives in
+:class:`Session`, one per client connection: the ``pool_switch``
+history of each topology, the configurations a runtime switches among
+between parallel regions in the paper's OpenMP extension.  It holds no
+topology, so the inference cache alone bounds what a connection keeps
+alive.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import binascii
 import gzip
 import json
 import time
+from collections import OrderedDict
 from weakref import WeakKeyDictionary
 
 from repro.core.algorithm import (
@@ -43,7 +48,6 @@ from repro.errors import (
 from repro.hardware import get_machine, machine_names
 from repro.hardware.os_view import read_os_topology
 from repro.obs import Observability
-from repro.place import PlacementPool
 from repro.place.policies import ALL_POLICIES, Policy
 from repro.service.cache import InferenceCache, SingleFlight, inference_key
 from repro.service.client import MctopClient
@@ -78,6 +82,8 @@ def parse_inference_params(
             f"(known: {', '.join(known_machines)})"
         )
     seed = _get_int(params, "seed", 0)
+    if seed is None:  # an explicit null; a missing seed means 0
+        raise _invalid("'seed' must be an integer, got None")
     # Measurement knobs arrive either as a full 'table' config dict
     # (the LatencyTableConfig.to_dict shape) or as the 'repetitions'
     # / 'jobs' shortcuts, which override individual table entries.
@@ -262,17 +268,27 @@ def _get_int(params: dict, name: str, default: int | None) -> int | None:
 
 
 class Session:
-    """Per-connection state: one placement pool per topology key."""
+    """Per-connection state: for each topology key, the ``(policy,
+    threads, sockets)`` configurations ``pool_switch`` made active,
+    least recent first, so the active one is last."""
 
-    def __init__(self, max_pool_entries: int | None = 16):
-        self.max_pool_entries = max_pool_entries
-        self._pools: dict[str, PlacementPool] = {}
+    #: Configurations kept per topology; a switch to a new one beyond
+    #: this drops the least recently used.
+    MAX_POOL_ENTRIES = 16
 
-    def pool_for(self, key: str, mctop: Mctop) -> PlacementPool:
+    def __init__(self):
+        self._pools: dict[str, OrderedDict] = {}
+
+    def switch(self, key: str, config: tuple) -> OrderedDict:
+        """Make ``config`` the topology's active configuration; returns
+        the topology's configurations."""
         pool = self._pools.get(key)
         if pool is None:
-            pool = PlacementPool(mctop, max_entries=self.max_pool_entries)
-            self._pools[key] = pool
+            pool = self._pools[key] = OrderedDict()
+        pool[config] = None
+        pool.move_to_end(config)
+        if len(pool) > self.MAX_POOL_ENTRIES:
+            pool.popitem(last=False)
         return pool
 
 
@@ -284,7 +300,6 @@ class Handlers:
         cache: InferenceCache,
         obs: Observability,
         default_repetitions: int = 75,
-        debug_verbs: bool = False,
         watcher: "DriftWatcher | None" = None,
         member_id: str | None = None,
         peers: tuple = (),
@@ -306,7 +321,6 @@ class Handlers:
         #: Sampling profiler (``profile`` verb); same optional pattern.
         self.profiler = profiler
         self.default_repetitions = default_repetitions
-        self.debug_verbs = debug_verbs
         self._params = TopologyParamsMemo()
         #: Per-index memo of fully-formed placement result documents,
         #: shared by ``place`` and ``place_many``: an index is
@@ -605,26 +619,28 @@ class Handlers:
                 "results": results}
 
     async def pool_switch(self, params: dict, session: Session) -> dict:
-        """Make a policy the session's active one (paper Section 6's
-        ``omp_set_binding_policy``); the pool caches each configuration."""
+        """Make a configuration the session's active one (paper Section
+        6's ``omp_set_binding_policy``), answered from the topology's
+        index; the session remembers its recent configurations."""
         key, mctop, cached = await self._topology(params)
-        pool = session.pool_for(key, mctop)
         policy = self._policy(params)
         n_threads = _get_int(params, "threads", None)
         n_sockets = _get_int(params, "sockets", None)
+        index = await self._index(key, mctop)
         try:
-            placement = pool.set_policy(policy, n_threads, n_sockets)
+            result = index.get(policy, n_threads, n_sockets)
         except MctopError as exc:
             raise ServiceError(str(exc), code="mctop_error") from exc
+        pool = session.switch(key, (policy, n_threads, n_sockets))
         self.obs.counter("service.pool.switches").inc()
         return {
             "key": key,
             "cached": cached,
-            "policy": placement.policy.value,
-            "n_threads": placement.n_threads,
-            "ordering": list(placement.ordering),
+            "policy": result.policy,
+            "n_threads": result.n_threads,
+            "ordering": list(result.ordering),
             "pool_len": len(pool),
-            "policies_cached": [p.value for p in pool.policies_cached()],
+            "policies_cached": sorted({p.value for p, _, _ in pool}),
         }
 
     async def validate(self, params: dict, session: Session) -> dict:

@@ -118,6 +118,10 @@ def decode_request(line: bytes | str) -> Request:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("request nests too deep to decode") from None
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ProtocolError(f"request cannot be decoded: {exc}") from None
     if not isinstance(doc, dict):
         raise ProtocolError("request must be a JSON object")
     verb = doc.get("verb")

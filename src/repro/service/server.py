@@ -518,6 +518,12 @@ class NdjsonServer:
             return self._fail(rec, request.id, exc.code, str(exc))
         except MctopError as exc:
             return self._fail(rec, request.id, "mctop_error", str(exc))
+        except RecursionError:
+            # Only client input nests this deep: a frame that decoded
+            # can still overflow deeper in the stack, where the router
+            # re-encodes its params or a refusal message prints one.
+            return self._fail(rec, request.id, "bad_request",
+                              "request nests too deep to handle")
         except Exception as exc:  # never kill the connection loop
             return self._fail(rec, request.id, "internal",
                               f"{type(exc).__name__}: {exc}")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.fleet.members import MemberConnection, MemberSpec
-from repro.service import MAX_LINE_BYTES, inference_key
+from repro.service import MAX_LINE_BYTES, MctopClient, inference_key
 from repro.service.handlers import parse_inference_params
 
 
@@ -410,6 +410,97 @@ class TestRobustness:
         assert line is not None
         assert line["outcome"] == "bad_request"
         assert line["verb"] is None
+
+    @staticmethod
+    def server(kind: str, daemon_factory, fleet_factory, tmp_path):
+        """``(unix path, access log, registry, metric prefix)`` of a
+        daemon, or of a router in front of two members."""
+        if kind == "daemon":
+            daemon = daemon_factory(
+                access_log=str(tmp_path / "daemon-access.ndjson")
+            )
+            return (daemon.config.unix_path, daemon.config.access_log,
+                    daemon.daemon.obs.registry, "service")
+        fleet = fleet_factory(n_members=2)
+        return (fleet.router_config.unix_path,
+                fleet.router_config.access_log, fleet.router.obs.registry,
+                "fleet")
+
+    @pytest.mark.parametrize("kind", ["daemon", "router"])
+    def test_an_explicit_null_seed_is_invalid_params(
+            self, kind, daemon_factory, fleet_factory, tmp_path):
+        path = self.server(kind, daemon_factory, fleet_factory, tmp_path)[0]
+        with MctopClient(unix_path=path, timeout=60.0) as client:
+            with pytest.raises(ServiceError) as refusal:
+                client.request("place", machine="testbox", seed=None)
+            # A missing seed still means 0.
+            placed = client.request("place", machine="testbox",
+                                    policy="RR_CORE", threads=2)
+        assert refusal.value.code == "invalid_params"
+        assert str(refusal.value) == "'seed' must be an integer, got None"
+        assert placed["n_threads"] == 2
+
+    @pytest.mark.parametrize("kind", ["daemon", "router"])
+    def test_nested_and_long_frames_each_get_one_answer(
+            self, kind, daemon_factory, fleet_factory, tmp_path):
+        """Frames nested up to and past what the JSON decoder takes, in
+        an ignored param, in a validated one and in ``id``, then
+        integers longer than it converts: each gets one answer with a
+        request id and one access-log line, a refusal is a counted
+        ``bad_request`` and never ``internal``, and the connection goes
+        on.  The sweep steps by one so that it meets the depths that
+        decode but overflow later: where the router re-encodes the
+        params, or where a refusal prints them."""
+        path, log, registry, prefix = self.server(
+            kind, daemon_factory, fleet_factory, tmp_path
+        )
+        topology = '"machine":"testbox","seed":1'
+        frames = []
+        for depth in [*range(900, 1001), 100_000]:
+            nested = "[" * depth + "]" * depth
+            frames += [
+                (None, '{"verb":"ping","id":1,"params":{"x":%s}}' % nested),
+                (None, '{"verb":"place","id":1,"params":{%s,"x":%s}}'
+                 % (topology, nested)),
+                (None, '{"verb":"place","id":1,"params":'
+                       '{"machine":"testbox","seed":%s}}' % nested),
+                (nested, '{"verb":"ping","id":%s}' % nested),
+                (nested, '{"verb":"place","id":%s,"params":{%s}}'
+                 % (nested, topology)),
+            ]
+        digits = "1" * 5_000
+        frames += [
+            (None, '{"verb":"place","id":1,"params":{%s,"x":%s}}'
+             % (topology, digits)),
+            (None, '{"verb":"ping","id":%s}' % digits),
+        ]
+        codes = []
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(60)
+            sock.connect(path)
+            with sock.makefile("rb") as reader:
+                for nested_id, frame in frames:
+                    sock.sendall(frame.encode() + b"\n")
+                    line = reader.readline().decode()
+                    assert line, f"no answer to frame {len(codes)}"
+                    if nested_id is not None:
+                        # Read the echoed id without nesting it here.
+                        line = line.replace(nested_id, '"echoed"', 1)
+                    doc = json.loads(line)
+                    assert doc["request_id"]
+                    assert doc["id"] in (
+                        (None, "echoed") if nested_id else (None, 1)
+                    )
+                    codes.append("ok" if doc["ok"]
+                                 else doc["error"]["code"])
+                sock.sendall(b'{"verb":"ping","id":"next"}\n')
+                assert json.loads(reader.readline())["id"] == "next"
+        assert set(codes) <= {"ok", "invalid_params", "bad_request"}
+        # 100,000 levels, then the long integers.
+        assert codes[-7:] == ["bad_request"] * 7
+        assert registry.value(f"{prefix}.errors.bad_request", 0) \
+            == codes.count("bad_request")
+        assert len(read_ndjson(log)) == len(frames) + 1
 
     def test_a_huge_machine_name_is_not_memoized(self, fleet):
         """The router digests any machine string (catalog checks are

@@ -1,18 +1,21 @@
-"""PlacementIndex: byte-identity with the legacy path.
+"""PlacementIndex: byte-identity with :class:`Placement`.
 
-The tentpole contract of the precomputed index is pinned here: for
-every golden machine and every Table-2 policy, the indexed answer —
-ordering, Figure-7 stats text *and* max latency — is byte-identical to
-what a freshly constructed :class:`Placement` computes, across a
-sampled ``n_threads`` × ``n_sockets`` grid.  The facade helpers ride
+The contract of the precomputed index is pinned here: for every golden
+machine and every Table-2 policy, the indexed answer — ordering,
+Figure-7 stats text *and* max latency — is byte-identical to what a
+freshly constructed :class:`Placement` computes, across a sampled
+``n_threads`` × ``n_sockets`` grid and on seeded random queries, and
+every grid entry hashes to a recorded digest.  The facade helpers ride
 along.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -96,6 +99,81 @@ class TestByteIdentity:
         assert index.prebuilt
         assert index.lookup(Policy.RR_CORE, 4) is not None
         assert index.lookup("CON_HWC") is not None  # defaults to capacity
+
+
+class TestRandomQueries:
+    """Seeded random queries, invalid ones included: the index answers
+    what :class:`Placement` computes, or refuses with its message.
+    These are the refusals ``mctopd``'s ``pool_switch`` takes from the
+    index."""
+
+    @pytest.mark.parametrize("name",
+                             ["testbox", "unisock", "ivy", "opteron"])
+    def test_get_matches_placement(self, indexed, name):
+        mctop, index = indexed(name)
+        rng = random.Random(f"index-vs-placement-{name}")
+        refused = 0
+        for _ in range(300):
+            policy = rng.choice(ALL_POLICIES)
+            nt = rng.choice([None, *range(mctop.n_contexts + 3)])
+            ns = rng.choice([None, *range(mctop.n_sockets + 2)])
+            try:
+                legacy = Placement(mctop, policy, nt, ns)
+            except PlacementError as exc:
+                with pytest.raises(PlacementError) as refusal:
+                    index.get(policy, nt, ns)
+                assert str(refusal.value) == str(exc), (policy, nt, ns)
+                refused += 1
+                continue
+            result = index.get(policy, nt, ns)
+            assert result.policy == legacy.policy.value
+            assert result.ordering == tuple(legacy.ordering), \
+                (policy, nt, ns)
+            assert result.max_latency == legacy.max_latency()
+            assert result.stats == legacy.print_stats(), (policy, nt, ns)
+        assert 0 < refused < 300
+
+
+#: sha256 over every grid key's ``(ordering, max_latency, stats)`` per
+#: golden machine, recorded before the index and ``Placement`` shared
+#: the Figure-7 aggregates: an oracle that does not run the code under
+#: test.
+INDEX_DIGESTS = {
+    "clusterix":
+        "bed0388ff1487c5bb593f728c0e4e5f504651e24c8392a24b4c9f271c3dcd92e",
+    "haswell":
+        "c995249f1013868ecac5cd0250792ad53fd7b5f8885bc0caa085f33dfb04f5cf",
+    "ivy":
+        "4fa831d0760e09e94e5ecc5728420b923e43e0ef47aad5233a132d7ab139bd16",
+    "opteron":
+        "bff510b46f0992a0a7f1c3a053710aa3c4ff7c6be2a6e1b92c64e3b1cae55c99",
+    "sparc":
+        "a2f215889aba830e191efb383ae4bfba0ccfc374dd7abf404c6eee6012d30a1a",
+    "testbox":
+        "752c8c16ab20e60974b7797ab1aa22ae485c7affff0e6c7ef41d0251bab93244",
+    "unisock":
+        "d5d44e6424329f79a1263c054f83cff8bace951395794f5b6fe858e3ebea5b58",
+    "westmere":
+        "96f03e985c890af26e60b4c7d45b51f7f9126c6b36f4d3897a5e55690dac3553",
+}
+
+
+class TestIndexDigests:
+    def test_every_golden_machine_has_a_digest(self):
+        assert sorted(INDEX_DIGESTS) == GOLDEN_MACHINES
+
+    @pytest.mark.parametrize("name", GOLDEN_MACHINES)
+    def test_grid_bytes_are_unchanged(self, name):
+        index = PlacementIndex(golden_mctop(name)).build()
+        digest = hashlib.sha256()
+        for policy, nt, ns in sorted(index._entries):
+            result = index.lookup(policy, nt, ns)
+            digest.update(json.dumps([
+                policy, nt, ns, list(result.ordering), result.max_latency,
+                result.stats,
+            ]).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == INDEX_DIGESTS[name]
 
 
 class TestLazyStats:
@@ -185,7 +263,7 @@ class TestLookupSemantics:
         assert isinstance(placement, Placement)
         thread = placement.pin()
         assert thread.ctx in placement.ordering
-        assert placement.in_use
+        assert placement.pinned_contexts() == [thread.ctx]
         assert placement.max_latency() == index.get("RR_CORE", 4).max_latency
 
 

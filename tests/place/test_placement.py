@@ -133,6 +133,14 @@ class TestPool:
         assert pool.active is second
         assert pool.active.policy is Policy.CON_CORE
 
+    def test_a_refused_switch_keeps_the_active_placement(self, ivy_m):
+        pool = PlacementPool(ivy_m)
+        first = pool.set_policy(Policy.RR_CORE, n_threads=6)
+        with pytest.raises(PlacementError):
+            pool.set_policy(Policy.RR_CORE, n_threads=ivy_m.n_contexts + 1)
+        assert pool.active is first
+        assert len(pool) == 1
+
     def test_active_requires_set(self, ivy_m):
         pool = PlacementPool(ivy_m)
         with pytest.raises(PlacementError):

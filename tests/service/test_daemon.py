@@ -8,8 +8,10 @@ walk through all 12 Table-2 policies like the paper's OpenMP runtime.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -105,7 +107,7 @@ class TestErrors:
 
     def test_malformed_frame_keeps_connection_alive(self, harness):
         with harness.client() as client:
-            conn = client._conn(0)
+            conn = client._conn
             conn.sock.sendall(b"this is not json\n")
             line = conn.file.readline()
             assert b'"bad_request"' in line
@@ -339,6 +341,87 @@ class TestPoolSession:
             assert ra["pool_len"] == 1
             assert rb["pool_len"] == 1
             assert rb["policies_cached"] == ["CON_HWC"]
+
+    def test_switches_answer_from_the_index(self, harness):
+        """A switch answers what ``place`` answers for the same query,
+        through the topology's index, and moves none of ``place``'s
+        index counters."""
+        with harness.client() as client:
+            placed = client.place("testbox", policy="BALANCE_CORE",
+                                  threads=5, sockets=2)
+            registry = harness.daemon.obs.registry
+            before = {name: registry.value(name, 0) for name in (
+                "service.place.index_hits", "service.place.index_misses",
+                "service.place.index_builds")}
+            switched = client.pool_switch("testbox", policy="BALANCE_CORE",
+                                          threads=5, sockets=2)
+            with pytest.raises(ServiceError) as refusal:
+                client.pool_switch("testbox", policy="RR_CORE", threads=9)
+        assert switched["ordering"] == placed["ordering"]
+        assert switched["n_threads"] == placed["n_threads"] == 5
+        assert refusal.value.code == "mctop_error"
+        assert str(refusal.value) == \
+            "policy RR_CORE offers 8 contexts, 9 threads requested"
+        assert {name: registry.value(name, 0) for name in before} == before
+
+    def test_a_session_keeps_its_sixteen_most_recently_used_switches(
+            self, harness):
+        def switch(policy: str, threads: int) -> dict:
+            return client.pool_switch("testbox", policy=policy,
+                                      threads=threads)
+
+        with harness.client() as client:
+            lens = [switch(policy, t)["pool_len"]
+                    for policy in ("CON_HWC", "RR_CORE")
+                    for t in range(1, 9)]
+            assert lens == list(range(1, 17))
+            for t in range(1, 9):  # CON_HWC is now the most recent
+                assert switch("CON_HWC", t)["pool_len"] == 16
+            for t in range(1, 9):  # evicts the least recently used
+                last = switch("NONE", t)
+                assert last["pool_len"] == 16
+            assert last["policies_cached"] == ["CON_HWC", "NONE"]
+            back = switch("RR_CORE", 1)
+        assert back["pool_len"] == 16
+        assert back["policies_cached"] == ["CON_HWC", "NONE", "RR_CORE"]
+
+    def test_a_switch_on_a_store_hit_builds_the_index_once(
+            self, daemon_factory):
+        """A switch answers from the index like ``place``: on a
+        topology loaded from the store it builds the index, once."""
+        first = daemon_factory()
+        with first.client() as client:
+            client.infer("testbox", seed=8)
+        first.stop()
+        harness = daemon_factory()  # a restart on the same store
+        with harness.client() as client:
+            lens = [client.pool_switch("testbox", policy="RR_CORE",
+                                       threads=4, seed=8)["pool_len"]
+                    for _ in range(2)]
+        registry = harness.daemon.obs.registry
+        assert lens == [1, 1]
+        assert registry.value("service.cache.hits.disk") == 1
+        assert registry.value("service.place.index_builds") == 1
+
+    def test_a_switch_keeps_no_topology_alive(self, daemon_factory):
+        """A session holds configuration keys only: once the memory
+        cache evicts a switched topology, nothing of it stays live for
+        as long as the connection stays open."""
+        harness = daemon_factory(max_memory_entries=1)
+        cache = harness.daemon.cache
+        with harness.client() as client:
+            key = client.pool_switch("testbox", policy="RR_CORE",
+                                     threads=4, seed=11)["key"]
+            switched = weakref.ref(cache.get_memory(key, record=False))
+            for seed in (12, 13):
+                client.infer("testbox", seed=seed)
+            assert key not in cache
+            gc.collect()
+            assert switched() is None
+            # The session still answers, from a fresh load of the store.
+            again = client.pool_switch("testbox", policy="RR_CORE",
+                                       threads=4, seed=11)
+        assert again["pool_len"] == 1 and again["cached"] is True
 
 
 class TestTcp:

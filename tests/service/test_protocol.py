@@ -44,6 +44,9 @@ class TestDecodeRequest:
         b'{"verb": 7}\n',
         b'{"verb": ""}\n',
         b'{"verb": "ping", "params": [1]}\n',
+        b'{"verb": "ping", "params": {"x": ' + b"[" * 100_000
+        + b"]" * 100_000 + b"}}\n",
+        b'{"verb": "ping", "id": ' + b"1" * 5_000 + b"}\n",
     ])
     def test_malformed(self, line):
         with pytest.raises(ProtocolError):
