@@ -50,7 +50,6 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -342,18 +341,13 @@ def _sequential_records(
                 yield _measure_pair(attempt, x, y, overhead, cfg)
 
 
-def _measure_pairs_chunk(
+def _pair_seeded_chunk(
     spec: PairProbeSpec, pairs: list[tuple[int, int]], overhead: float,
     cfg: LatencyTableConfig,
-) -> tuple[list[_PairRecord], float]:
-    """Measure a chunk of pairs under the pair-seeded scheme.
-
-    Module level so :mod:`concurrent.futures` can pickle it; builds one
-    :class:`PairSampler` per invocation and returns the chunk's records
-    and its wall time in microseconds, so the parent can stitch one
-    sub-trace span per worker chunk into its tracer.
-    """
-    start = time.perf_counter()
+) -> Iterator[_PairRecord]:
+    """Measure pairs in order under the pair-seeded scheme, one at a
+    time, up to and including the first that fails: the fold stops
+    there, so no later pair is ever needed."""
     sampler = PairSampler(spec)
 
     def attempt(x: int, y: int, retries: int) -> np.ndarray:
@@ -361,7 +355,25 @@ def _measure_pairs_chunk(
             x, y, cfg.repetitions, attempt=retries, vectorized=cfg.vectorized
         )
 
-    records = [_measure_pair(attempt, x, y, overhead, cfg) for x, y in pairs]
+    for x, y in pairs:
+        record = _measure_pair(attempt, x, y, overhead, cfg)
+        yield record
+        if record.failed:
+            return
+
+
+def _measure_pairs_chunk(
+    spec: PairProbeSpec, pairs: list[tuple[int, int]], overhead: float,
+    cfg: LatencyTableConfig,
+) -> tuple[list[_PairRecord], float]:
+    """One worker's chunk of :func:`_pair_seeded_chunk`.
+
+    Module level so :mod:`concurrent.futures` can pickle it; returns the
+    chunk's records and its wall time in microseconds, so the parent can
+    stitch one sub-trace span per worker chunk into its tracer.
+    """
+    start = time.perf_counter()
+    records = list(_pair_seeded_chunk(spec, pairs, overhead, cfg))
     return records, (time.perf_counter() - start) * 1e6
 
 
@@ -380,10 +392,13 @@ def _pair_seeded_records(
 
     Every context is warmed up first (on the probe's shared stream);
     sampling then proceeds from the frozen
-    :meth:`~MeasurementContext.batch_spec` snapshot, in process as one
-    chunk when ``jobs=1`` or over a process pool otherwise.  Records
-    come back in pair order whatever ``jobs`` is, and each record's
-    samples are added to the probe's count as it is yielded.
+    :meth:`~MeasurementContext.batch_spec` snapshot.  With ``jobs=1`` it
+    is lazy, one pair at a time in pair order, so a failed pair ends
+    sampling.  Otherwise chunks go to a process pool and are collected
+    in pair order up to the first chunk that holds a failed record; the
+    chunks not yet started are cancelled.  Records come back in pair
+    order whatever ``jobs`` is, and each record's samples are added to
+    the probe's count as it is yielded.
     """
     n = probe.n_hw_contexts()
     if cfg.warm_up:
@@ -392,16 +407,25 @@ def _pair_seeded_records(
     spec = probe.batch_spec()
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     if cfg.jobs > 1:
-        chunks = _chunk_pairs(pairs, cfg.jobs)
         tracer = probe.obs.tracer
         pool_start_us = tracer._now_us()
+        results = []
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=cfg.jobs
         ) as pool:
-            results = list(pool.map(
-                _measure_pairs_chunk, repeat(spec), chunks, repeat(overhead),
-                repeat(cfg),
-            ))
+            futures = [
+                pool.submit(_measure_pairs_chunk, spec, chunk, overhead, cfg)
+                for chunk in _chunk_pairs(pairs, cfg.jobs)
+            ]
+            for future in futures:
+                results.append(future.result())
+                if results[-1][0][-1].failed:  # a chunk ends at a failure
+                    break
+            # The fold stops at that failure: cancel the chunks after it
+            # that have not started, and read the others for errors.
+            for future in futures[len(results):]:
+                if not future.cancel():
+                    future.result()
         # Stitch one child span per worker chunk into the parent trace.
         # Adopted spans ride along in exports only: the deterministic
         # summary stays identical to a jobs=1 run.
@@ -411,12 +435,12 @@ def _pair_seeded_records(
                 start_us=pool_start_us, worker=index % cfg.jobs,
                 chunk=index, n_pairs=len(records),
             )
+        measured = (record for records, _ in results for record in records)
     else:
-        results = [_measure_pairs_chunk(spec, pairs, overhead, cfg)]
-    for records, _ in results:
-        for record in records:
-            probe.samples_taken += record.samples
-            yield record
+        measured = _pair_seeded_chunk(spec, pairs, overhead, cfg)
+    for record in measured:
+        probe.samples_taken += record.samples
+        yield record
 
 
 def collect_latency_table(

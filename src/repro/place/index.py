@@ -240,12 +240,30 @@ class PlacementIndex:
         n_threads: int | None = None,
         n_sockets: int | None = None,
     ) -> PlacementResult:
-        """Lookup, computing through :class:`Placement` on a miss — so
-        it raises exactly what ``Placement`` raises for the invalid or
-        unsupported query that is the only way to miss."""
+        """Lookup, raising on a miss exactly what ``Placement`` raises
+        for the invalid or unsupported query that is the only way to
+        miss.
+
+        A served policy offers every context of its sockets, and the
+        grid holds it for every thread count up to their capacity, so a
+        count above that is refused from the grid, with
+        ``compute_order``'s message and without computing the ordering.
+        Any other miss (an unsupported policy, ``n_sockets`` out of
+        range, ``n_threads`` below 1, or an index not yet built) goes
+        through :class:`Placement`.
+        """
         result = self.lookup(policy, n_threads, n_sockets)
         if result is not None:
             return result
+        key = self._normalize(policy, n_threads, n_sockets)
+        if key is not None and n_threads is not None:
+            value, nt, ns = key
+            offers = self._capacity[ns]
+            if nt > offers and (value, offers, ns) in self._entries:
+                raise PlacementError(
+                    f"policy {value} offers {offers} contexts, "
+                    f"{nt} threads requested"
+                )
         placement = Placement(self.mctop, policy, n_threads, n_sockets)
         return PlacementResult(
             policy=placement.policy.value,

@@ -17,21 +17,24 @@ When the machine has a power profile the engine also integrates energy:
 package power is a function of which contexts are active, sampled at
 every scheduling event.
 
-No event rescans the threads or re-derives where a context sits: a
-thread's core and socket are read once at spawn, and the engine keeps,
-incrementally, the number of computing threads per core (SMT
-interference) and, when it tracks energy, the active threads per core
-plus the active contexts and active cores per socket (package power).
-Those counts change only where a thread's ``computing``, ``blocked`` or
-``finished`` flag does, and only this module sets the flags, so at
-every event the counts equal a recount from the threads and every
-result is bit-identical to one.  (A barrier crossing still reads
-O(parties²) pair latencies, from the machine's memo.)
+An event costs its pricing and little else.  No event rescans the
+threads, the channels or the machine: a thread's core and socket are
+read once at spawn, and the engine keeps, incrementally, the number of
+computing threads per core (SMT interference), each node's channels
+and live streams, and, when it tracks energy, the active threads per
+core plus the active contexts and active cores per socket (package
+power).  Those counts change only where a thread's ``computing``,
+``blocked`` or ``finished`` flag or a channel's streams do, and only
+this module sets them, so at every event they equal a recount and
+every result is bit-identical to one.  A thread's resume is the thread
+itself on the heap, a command finds its handler in one dict, and the
+energy samples are summed in :meth:`Engine.run`'s loop.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,7 +108,12 @@ def _instrument(kind: str, name: str) -> cached_property:
 
 
 class Engine:
-    """The event loop: a heap of (time, action) callbacks."""
+    """The event loop: a heap of ``(time, seq, thread | callback)``.
+
+    A thread's resume is the thread itself, run as ``_step(thread)``;
+    only a channel completion is a callback.  Ties break on ``seq``, the
+    push order.
+    """
 
     _spawned = _instrument("counter", "sim.threads_spawned")
     _smt_contended = _instrument("counter", "sim.smt_contended_computes")
@@ -124,12 +132,18 @@ class Engine:
         self.machine = machine
         self.obs = obs if obs is not None else Observability()
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._heap: list[tuple[float, int, Any]] = []
+        self._seq = itertools.count()  # push order: ties break on it
         self.threads: list[SimThread] = []
-        self._channels: dict[tuple[int, int], _Channel] = {}
         spec = machine.spec
         self._computing = [0] * spec.n_cores  # computing threads per core
+        self._smt_step = spec.smt_slowdown - 1.0
+        # Memory channels by (socket, node), and per node its channels
+        # in creation order and its count of live streams.
+        self._channels: dict[tuple[int, int], _Channel] = {}
+        self._node_channels: dict[int, list[_Channel]] = {}
+        self._streams_on_node: dict[int, int] = {}
+        self._mem_latency: dict[tuple[int, int], int] = {}
         self._energy: float | None = None
         self._power_model = None
         if track_energy:
@@ -146,6 +160,7 @@ class Engine:
             self._active_ctxs = [0] * spec.n_sockets
             self._active_cores = [0] * spec.n_sockets
             self._watts: float | None = None  # None: counts changed
+            self._socket_watts: dict[tuple[int, int], float] = {}
 
     # ----------------------------------------------------------- spawning
     def spawn(self, ctx: int, program: Program, name: str = "") -> SimThread:
@@ -157,29 +172,20 @@ class Engine:
         self.threads.append(thread)
         self._count_active(thread, 1)
         self._spawned.inc()
-        self._at(self.now, lambda: self._step(thread))
+        self._at(self.now, thread)
         return thread
 
-    def _at(self, when: float, action: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, action))
+    def _at(self, when: float, item: Any) -> None:
+        """Schedule a thread's resume, or a callback, at ``when``."""
+        heapq.heappush(self._heap, (when, next(self._seq), item))
 
     # ------------------------------------------------------------ pricing
-    def _computing_siblings(self, thread: SimThread) -> int:
-        computing = self._computing[thread.core]
-        return computing - 1 if thread.computing else computing
-
     def smt_factor(self, thread: SimThread) -> float:
         """Compute-slowdown from SMT siblings currently computing."""
-        siblings = self._computing_siblings(thread)
-        slow = self.machine.spec.smt_slowdown
-        return 1.0 + siblings * (slow - 1.0)
-
-    def _node_streams(self, node: int) -> int:
-        """Streams currently targeting a node, across all sockets."""
-        return sum(
-            len(ch.streams) for ch in self._channels.values() if ch.node == node
-        )
+        siblings = self._computing[thread.core]
+        if thread.computing:
+            siblings -= 1
+        return 1.0 + siblings * self._smt_step
 
     def _stream_rate(self, ch: "_Channel", sharers: int) -> float:
         """Per-stream bytes/cycle on a channel with ``sharers`` streams.
@@ -189,7 +195,7 @@ class Engine:
         node's DRAM itself — sockets streaming from the same node share
         its DRAM bandwidth, they do not add to it.
         """
-        node_streams = max(self._node_streams(ch.node), sharers, 1)
+        node_streams = max(self._streams_on_node[ch.node], sharers, 1)
         per_thread = min(ch.single, ch.cap / max(sharers, 1),
                          ch.node_cap / node_streams)
         return max(per_thread / self.machine.spec.freq_max_ghz, 1e-12)
@@ -229,16 +235,14 @@ class Engine:
         )
 
     def _advance_node_channels(self, node: int) -> None:
-        for ch in self._channels.values():
-            if ch.node == node:
-                self._advance_channel(ch)
+        for ch in self._node_channels[node]:
+            self._advance_channel(ch)
 
     def _rebalance_node_channels(self, node: int) -> None:
         # A membership change on one channel shifts the DRAM share of
         # every other channel reading the same node.
-        for ch in self._channels.values():
-            if ch.node == node:
-                self._rebalance_channel(ch)
+        for ch in self._node_channels[node]:
+            self._rebalance_channel(ch)
 
     def _channel_event(self, ch: "_Channel", epoch: int) -> None:
         if epoch != ch.epoch:
@@ -257,26 +261,64 @@ class Engine:
         for thread, state in finished:
             del ch.streams[thread]
             thread.busy_cycles += self.now - state[1]
+        self._streams_on_node[ch.node] -= len(finished)
         self._rebalance_node_channels(ch.node)
         for thread, _ in finished:
             self._step(thread)
 
     # ---------------------------------------------------------- main loop
     def run(self, max_cycles: float = float("inf")) -> RunStats:
-        """Run every thread to completion (or fail at ``max_cycles``)."""
+        """Run every thread to completion (or fail at ``max_cycles``).
+
+        With energy tracking on, each event with time elapsed since the
+        last sample adds package power times that time, in the order
+        and with the expressions of a per-event sample, and observes
+        the watts in ``sim.power_watts``.  The samples reach
+        ``sim.energy_samples`` as one count, flushed in a ``finally``:
+        a run that raises leaves the registry as per-event sampling
+        would.
+        """
         events = 0
+        heap = self._heap
+        pop = heapq.heappop
+        step = self._step
+        tracking = self._power_model is not None
+        if tracking:
+            energy = self._energy
+            last_sample = self._last_energy_time
+            hz = self.machine.spec.freq_max_ghz * 1e9
+        samples = 0
         with self.obs.span("sim.run", n_threads=len(self.threads)):
-            while self._heap:
-                at, _, action = heapq.heappop(self._heap)
-                if at > max_cycles:
-                    raise SimulationError(
-                        f"simulation exceeded {max_cycles} cycles — deadlock "
-                        "or runaway program?"
-                    )
-                self._account_energy(at)
-                self.now = at
-                events += 1
-                action()
+            try:
+                while heap:
+                    at, _, item = pop(heap)
+                    if at > max_cycles:
+                        raise SimulationError(
+                            f"simulation exceeded {max_cycles} cycles — "
+                            "deadlock or runaway program?"
+                        )
+                    if tracking:
+                        dt_cycles = at - last_sample
+                        if dt_cycles > 0:
+                            watts = self._watts
+                            if watts is None:
+                                watts = self._watts = self._package_watts()
+                            energy += watts * (dt_cycles / hz)
+                            last_sample = at
+                            samples += 1
+                            self._power_watts.observe(watts)
+                    self.now = at
+                    events += 1
+                    if item.__class__ is SimThread:
+                        step(item)
+                    else:
+                        item()
+            finally:
+                if tracking:
+                    self._energy = energy
+                    self._last_energy_time = last_sample
+                if samples:
+                    self._energy_samples.inc(samples)
         stuck = [t.name for t in self.threads if not t.finished]
         if stuck:
             raise SimulationError(
@@ -317,52 +359,70 @@ class Engine:
                 self._count_active(thread, -1)
             thread.result = stop.value
             return
-        self._dispatch(thread, command)
+        handler = _HANDLERS.get(type(command))
+        if handler is None:
+            handler = _subclass_handler(command)
+        handler(self, thread, command)
 
-    def _dispatch(self, thread: SimThread, command: Any) -> None:
-        if isinstance(command, Compute):
-            factor = self.smt_factor(thread)
-            if factor > 1.0:
-                self._smt_contended.inc()
-            duration = command.cycles * factor
-            thread.computing = True
-            self._computing[thread.core] += 1
-            thread.busy_cycles += duration
-            self._at(self.now + duration, lambda: self._step(thread))
-        elif isinstance(command, MemStream):
-            self._mem_streams.inc()
-            key = (thread.socket, command.node)
-            ch = self._channels.get(key)
-            if ch is None:
-                ch = self._channels[key] = _Channel(self.machine, *key)
-            self._advance_node_channels(command.node)
-            ch.streams[thread] = [float(command.n_bytes), self.now]
-            self._rebalance_node_channels(command.node)
-        elif isinstance(command, MemChase):
-            duration = command.accesses * self.machine.mem_latency(
-                thread.socket, command.node
-            )
-            thread.busy_cycles += duration
-            self._at(self.now + duration, lambda: self._step(thread))
-        elif isinstance(command, Communicate):
-            duration = float(
-                self.machine.comm_latency(thread.ctx, command.peer_ctx)
-            )
-            thread.busy_cycles += duration
-            self._at(self.now + duration, lambda: self._step(thread))
-        elif isinstance(command, Sleep):
-            self._at(self.now + command.cycles, lambda: self._step(thread))
-        elif isinstance(command, BarrierWait):
-            self._barrier_waits.inc()
-            command.barrier._arrive(self, thread)
-        elif isinstance(command, Acquire):
-            self._lock_acquires.inc()
-            command.lock._request(self, thread)
-        elif isinstance(command, Release):
-            self._lock_releases.inc()
-            command.lock._release(self, thread)
-        else:
-            raise SimulationError(f"unknown command {command!r}")
+    # ----------------------------------------------------------- commands
+    # One handler per command type, found through ``_HANDLERS``.  Each
+    # runs from ``_step``, which has already cleared ``computing``.
+    def _compute(self, thread: SimThread, command: Compute) -> None:
+        factor = self.smt_factor(thread)
+        if factor > 1.0:
+            self._smt_contended.inc()
+        duration = command.cycles * factor
+        thread.computing = True
+        self._computing[thread.core] += 1
+        thread.busy_cycles += duration
+        self._at(self.now + duration, thread)
+
+    def _mem_stream(self, thread: SimThread, command: MemStream) -> None:
+        self._mem_streams.inc()
+        node = command.node
+        key = (thread.socket, node)
+        ch = self._channels.get(key)
+        if ch is None:
+            # Creating the channel validates the socket and the node.
+            ch = self._channels[key] = _Channel(self.machine, *key)
+            self._node_channels.setdefault(node, []).append(ch)
+            self._streams_on_node.setdefault(node, 0)
+        self._advance_node_channels(node)
+        ch.streams[thread] = [float(command.n_bytes), self.now]
+        self._streams_on_node[node] += 1
+        self._rebalance_node_channels(node)
+
+    def _mem_chase(self, thread: SimThread, command: MemChase) -> None:
+        key = (thread.socket, command.node)
+        latency = self._mem_latency.get(key)
+        if latency is None:
+            # The machine validates the socket and the node.
+            latency = self._mem_latency[key] = self.machine.mem_latency(*key)
+        duration = command.accesses * latency
+        thread.busy_cycles += duration
+        self._at(self.now + duration, thread)
+
+    def _communicate(self, thread: SimThread, command: Communicate) -> None:
+        duration = float(
+            self.machine.comm_latency(thread.ctx, command.peer_ctx)
+        )
+        thread.busy_cycles += duration
+        self._at(self.now + duration, thread)
+
+    def _sleep(self, thread: SimThread, command: Sleep) -> None:
+        self._at(self.now + command.cycles, thread)
+
+    def _barrier_wait(self, thread: SimThread, command: BarrierWait) -> None:
+        self._barrier_waits.inc()
+        command.barrier._arrive(self, thread)
+
+    def _acquire(self, thread: SimThread, command: Acquire) -> None:
+        self._lock_acquires.inc()
+        command.lock._request(self, thread)
+
+    def _release(self, thread: SimThread, command: Release) -> None:
+        self._lock_releases.inc()
+        command.lock._release(self, thread)
 
     # --------------------------------------------------------- wake/block
     def wake(self, thread: SimThread, at: float) -> None:
@@ -374,7 +434,7 @@ class Engine:
             thread.blocked_cycles += at - thread.block_start
             thread.block_start = None
         self._set_blocked(thread, False)
-        self._at(at, lambda: self._step(thread))
+        self._at(at, thread)
 
     def block(self, thread: SimThread) -> None:
         self._set_blocked(thread, True)
@@ -402,29 +462,45 @@ class Engine:
     def _package_watts(self) -> float:
         """Package power (all sockets, DRAM included) of the counts.
 
-        The same sum, in the same socket order, as summing
+        The sum ``sum()`` would make over the sockets in socket order,
+        from integer 0, of ``PowerModel.socket_watts``, memoized per
+        ``(active contexts, active cores)``: the same double as summing
         ``PowerModel.estimate(active, with_dram=True, sockets=all)``.
         """
-        model = self._power_model
-        return sum(
-            model.socket_watts(ctxs, cores, with_dram=True)
-            for ctxs, cores in zip(self._active_ctxs, self._active_cores)
-        )
+        memo = self._socket_watts
+        watts = 0
+        for counts in zip(self._active_ctxs, self._active_cores):
+            part = memo.get(counts)
+            if part is None:
+                part = memo[counts] = self._power_model.socket_watts(
+                    *counts, with_dram=True)
+            watts += part
+        return watts
 
-    def _account_energy(self, at: float) -> None:
-        if self._power_model is None:
-            return
-        dt_cycles = at - self._last_energy_time
-        if dt_cycles <= 0:
-            return
-        watts = self._watts
-        if watts is None:
-            watts = self._watts = self._package_watts()
-        seconds = dt_cycles / (self.machine.spec.freq_max_ghz * 1e9)
-        self._energy += watts * seconds
-        self._last_energy_time = at
-        self._energy_samples.inc()
-        self._power_watts.observe(watts)
+
+#: Command type -> its ``Engine`` handler.
+_HANDLERS: dict[type, Callable[[Engine, SimThread, Any], None]] = {
+    Compute: Engine._compute,
+    MemStream: Engine._mem_stream,
+    MemChase: Engine._mem_chase,
+    Communicate: Engine._communicate,
+    Sleep: Engine._sleep,
+    BarrierWait: Engine._barrier_wait,
+    Acquire: Engine._acquire,
+    Release: Engine._release,
+}
+
+
+def _subclass_handler(
+    command: Any,
+) -> Callable[[Engine, SimThread, Any], None]:
+    """The handler of the first command type, in ``_HANDLERS`` order,
+    that ``command`` is an instance of: a subclass of a command
+    dispatches as its base does."""
+    for kind, handler in _HANDLERS.items():
+        if isinstance(command, kind):
+            return handler
+    raise SimulationError(f"unknown command {command!r}")
 
 
 class _Channel:

@@ -12,6 +12,10 @@ class Barrier:
     participant pair — a topology-aware sense-reversing barrier would
     pay exactly that, which makes barrier cost placement-sensitive like
     everything else in the engine.
+
+    ``comm_latency`` is symmetric, so that cost depends only on the
+    multiset of waiting contexts: it is worked out once per machine and
+    sorted tuple of contexts, not again on every crossing.
     """
 
     def __init__(self, parties: int, crossing_cost: float | None = None):
@@ -20,6 +24,7 @@ class Barrier:
         self.parties = parties
         self.crossing_cost = crossing_cost
         self._waiting: list = []
+        self._costs: dict[tuple, float] = {}
         self.crossings = 0
 
     def _arrive(self, engine, thread) -> None:
@@ -29,11 +34,21 @@ class Barrier:
             return
         cost = self.crossing_cost
         if cost is None:
-            ctxs = [t.ctx for t in self._waiting]
+            cost = self._pair_max(engine.machine)
+        waiters, self._waiting = self._waiting, []
+        self.crossings += 1
+        for t in waiters:
+            engine.wake(t, engine.now + cost)
+
+    def _pair_max(self, machine) -> float:
+        """The largest pair latency among the waiting contexts."""
+        ctxs = tuple(sorted(t.ctx for t in self._waiting))
+        key = (machine, ctxs)
+        cost = self._costs.get(key)
+        if cost is None:
             cost = 0.0
             if len(ctxs) > 1:
-                # O(parties^2) pairs, each read from the machine's memo.
-                latency = engine.machine.comm_latency
+                latency = machine.comm_latency
                 cost = float(
                     max(
                         latency(a, b)
@@ -41,10 +56,8 @@ class Barrier:
                         for b in ctxs[i + 1:]
                     )
                 )
-        waiters, self._waiting = self._waiting, []
-        self.crossings += 1
-        for t in waiters:
-            engine.wake(t, engine.now + cost)
+            self._costs[key] = cost
+        return cost
 
 
 class Flag:

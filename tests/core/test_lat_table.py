@@ -410,3 +410,43 @@ class TestPinnedOutputs:
             "instants": 2,
             "spans": 1,
         }
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_pair_scheme_stops_at_the_failed_pair(self, testbox, vectorized,
+                                                  monkeypatch):
+        """Under the pair scheme a failed pair ends sampling: the 6
+        attempts (90 samples) the report counts are the only ones
+        drawn, not the whole table's."""
+        from repro.hardware.probes import PairSampler
+
+        attempts = []
+        real = PairSampler.sample_attempt
+
+        def counting(self, *args, **kwargs):
+            attempts.append(args[:2])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairSampler, "sample_attempt", counting)
+        probe = MeasurementContext(
+            testbox, noise=NoiseProfile(jitter_sigma=2.0), seed=1
+        )
+        cfg = LatencyTableConfig(**FAIL_CFG, vectorized=vectorized,
+                                 sampling="pair")
+        with pytest.raises(MeasurementError, match=r"pair \(0, 4\)"):
+            collect_latency_table(probe, cfg)
+        assert len(attempts) == 6
+        assert attempts[-2:] == [(0, 4), (0, 4)]
+        assert probe.samples_taken == 6 * FAIL_CFG["repetitions"]
+
+    def test_pair_scheme_collects_no_chunk_after_the_failed_one(
+            self, testbox):
+        """Over a pool the first chunk holds the failed pair (0, 4), so
+        it is the only chunk collected and stitched into the trace."""
+        probe = MeasurementContext(
+            testbox, noise=NoiseProfile(jitter_sigma=2.0), seed=1
+        )
+        cfg = LatencyTableConfig(**FAIL_CFG, sampling="pair", jobs=2)
+        with pytest.raises(MeasurementError, match=r"pair \(0, 4\)"):
+            collect_latency_table(probe, cfg)
+        (chunk,) = probe.tracer.spans_named("lat_table.worker_chunk")
+        assert chunk.args["n_pairs"] == 4

@@ -257,6 +257,39 @@ class TestLookupSemantics:
         with pytest.raises((PlacementError, ValueError)):
             index.get("NOT_A_POLICY", 4)
 
+    @pytest.mark.parametrize("name", GOLDEN_MACHINES)
+    def test_over_capacity_is_refused_from_the_grid(self, name, indexed,
+                                                    monkeypatch):
+        """More threads than a served policy offers on its sockets is
+        refused with ``Placement``'s message, and no ordering is
+        computed to find that out."""
+        mctop, index = indexed(name)
+        policies_module = importlib.import_module("repro.place.policies")
+        served = sorted({key[0] for key in index._entries})
+        queries = [
+            (policy, capacity + extra, ns)
+            for policy in served
+            for ns, capacity in [(None, mctop.n_contexts),
+                                 *index._capacity.items()]
+            for extra in (1, 1000)
+        ]
+        calls = []
+        real = policies_module._order_for
+        monkeypatch.setattr(
+            policies_module, "_order_for",
+            lambda *args: calls.append(args) or real(*args))
+        refused = []
+        for query in queries:
+            with pytest.raises(PlacementError) as exc:
+                index.get(*query)
+            refused.append(str(exc.value))
+        assert calls == []
+        for query, message in zip(queries, refused):
+            with pytest.raises(PlacementError) as exc:
+                Placement(mctop, *query)
+            assert message == str(exc.value), (name, query)
+            assert "contexts," in message
+
     def test_placement_is_pinnable(self, indexed):
         _, index = indexed("testbox")
         placement = index.placement("RR_CORE", 4)

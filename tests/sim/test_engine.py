@@ -63,6 +63,39 @@ class TestCompute:
         assert engine.run().cycles == 1000
 
 
+class TestDispatch:
+    """A command finds its handler by its type; a subclass of a command
+    type dispatches as its base does, and anything else is refused."""
+
+    def test_compute_subclass_prices_like_compute(self, testbox):
+        class TaggedCompute(Compute):
+            pass
+
+        def prog(kind):
+            yield kind(10_000)
+            yield kind(500)
+
+        c0, c1 = testbox.contexts_of_core(0)
+        runs = []
+        for kind in (Compute, TaggedCompute):
+            engine = Engine(testbox, track_energy=True)
+            engine.spawn(c0, prog(kind))
+            engine.spawn(c1, prog(kind))
+            runs.append(engine.run())
+        base, tagged = runs
+        assert base.cycles > 10_500  # the siblings slowed each other
+        assert tagged == base
+
+    def test_unknown_command_is_refused(self, engine):
+        def prog():
+            yield "compute please"
+
+        engine.spawn(0, prog())
+        with pytest.raises(SimulationError) as excinfo:
+            engine.run()
+        assert str(excinfo.value) == "unknown command 'compute please'"
+
+
 class TestMemory:
     def test_chase_pays_numa_latency(self, testbox):
         def prog(node):
