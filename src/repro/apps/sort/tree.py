@@ -34,9 +34,6 @@ class ReductionTree:
     def depth(self) -> int:
         return len(self.rounds)
 
-    def all_steps(self) -> list[MergeStep]:
-        return [s for r in self.rounds for s in r]
-
 
 def _pair_bandwidth(mctop: Mctop, a: int, b: int) -> float:
     link = mctop.links.get((min(a, b), max(a, b)))

@@ -92,12 +92,22 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
+def _client(args: argparse.Namespace, command: str):
+    """A client for ``--unix``/``--host``/``--port``/``--timeout``;
+    ``command`` names the subcommand in the missing-endpoint error."""
+    from repro.service import MctopClient
+
+    if args.unix is None and args.host is None:
+        raise MctopError(f"{command} needs --unix PATH or --host HOST")
+    return MctopClient(unix_path=args.unix, host=args.host, port=args.port,
+                       timeout=args.timeout)
+
+
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     """Fetch a retained per-request trace from a daemon or router."""
     import json
 
     from repro.obs import render_timeline, timeline_to_chrome
-    from repro.service import MctopClient
 
     if args.rid is None:
         raise MctopError(
@@ -105,10 +115,7 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
             "exemplars, mctop top's slowest-requests panel, or "
             "client.last_request_ids)"
         )
-    if args.unix is None and args.host is None:
-        raise MctopError("trace show needs --unix PATH or --host HOST")
-    with MctopClient(unix_path=args.unix, host=args.host, port=args.port,
-                     timeout=args.timeout) as client:
+    with _client(args, "trace show") as client:
         result = client.trace(args.rid)
     if not result.get("enabled"):
         raise MctopError("the daemon runs without a trace store "
@@ -412,7 +419,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     """Run a fleet router (optionally spawning its members in-process)."""
-    from repro.fleet import FleetServeConfig, run_fleet
+    from repro.fleet import RouterConfig, run_fleet
 
     if args.unix is None and args.host is None:
         raise MctopError("fleet serve needs --unix PATH and/or --host HOST")
@@ -421,9 +428,7 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             "fleet serve needs --members N (spawn in-process) and/or "
             "--member ENDPOINT (front an external mctopd)"
         )
-    config = FleetServeConfig(
-        state_dir=args.state_dir,
-        n_members=args.members,
+    config = RouterConfig(
         members=tuple(args.member or ()),
         unix_path=args.unix,
         host=args.host,
@@ -451,7 +456,8 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         print(f"fleet: {len(router.health.ring)}/"
               f"{len(router.health.states)} members in ring", flush=True)
 
-    run_fleet(config, ready_callback=announce)
+    run_fleet(config, n_members=args.members, state_dir=args.state_dir,
+              ready_callback=announce)
     print("fleet drained, bye")
     return 0
 
@@ -485,12 +491,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     """The router's membership/ring/health document."""
     import json
 
-    from repro.service import MctopClient
-
-    if args.unix is None and args.host is None:
-        raise MctopError("fleet status needs --unix PATH or --host HOST")
-    with MctopClient(unix_path=args.unix, host=args.host, port=args.port,
-                     timeout=args.timeout) as client:
+    with _client(args, "fleet status") as client:
         result = client.request("fleet")
     if args.json:
         print(json.dumps(result, indent=1, sort_keys=True))
@@ -525,10 +526,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """One request against a running mctopd."""
     import json
 
-    from repro.service import MctopClient
-
-    if args.unix is None and args.host is None:
-        raise MctopError("query needs --unix PATH or --host HOST")
+    client = _client(args, "query")
     params: dict = {}
     if args.verb == "drift":
         # The drift verb takes an optional machine and no measurement
@@ -553,6 +551,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         params["repetitions"] = args.repetitions
         if args.jobs != 1:
             params["jobs"] = args.jobs
+        if args.sampling != "auto":
+            params["table"] = {"sampling": args.sampling}
     elif args.verb in ("infer", "show", "place", "place_many",
                        "pool_switch", "validate"):
         raise MctopError(f"query {args.verb} needs a MACHINE argument")
@@ -587,8 +587,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     elif args.format != "json" and args.verb != "metrics":
         raise MctopError("--format applies to the metrics verb only")
 
-    with MctopClient(unix_path=args.unix, host=args.host, port=args.port,
-                     timeout=args.timeout) as client:
+    with client:
         result = client.request(args.verb, **params)
 
     if prom:
@@ -640,13 +639,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard against a running mctopd."""
-    from repro.service import MctopClient
     from repro.service.top import run_top
 
-    if args.unix is None and args.host is None:
-        raise MctopError("top needs --unix PATH or --host HOST")
-    with MctopClient(unix_path=args.unix, host=args.host, port=args.port,
-                     timeout=args.timeout) as client:
+    with _client(args, "top") as client:
         return run_top(
             client,
             interval=args.interval,
@@ -661,13 +656,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.profiler import collapsed_stacks, speedscope_doc
-    from repro.service import MctopClient
     from repro.service.top import render_profile_lines
 
-    if args.unix is None and args.host is None:
-        raise MctopError("profile needs --unix PATH or --host HOST")
-    with MctopClient(unix_path=args.unix, host=args.host, port=args.port,
-                     timeout=args.timeout) as client:
+    with _client(args, "profile") as client:
         if args.profile_command == "reset":
             result = client.profile(action="reset")
             if not result.get("enabled"):
@@ -923,6 +914,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--port", type=int, default=0,
                        help="TCP port (0 picks a free one when serving)")
 
+    def query_parser(subparsers, help_text: str, format_help: str) -> None:
+        """``query`` under ``subparsers``: ``mctop query`` and
+        ``mctop fleet query`` differ only in their help."""
+        from repro.service.protocol import VERBS
+
+        p = subparsers.add_parser("query", help=help_text)
+        p.add_argument("verb", choices=VERBS)
+        p.add_argument("machine", nargs="?",
+                       help="catalog machine (topology verbs)")
+        endpoint(p)
+        p.add_argument("--policy", default="CON_HWC")
+        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--sockets", type=int, default=None)
+        p.add_argument("--queries", metavar="JSON",
+                       help="place_many verb: JSON list of "
+                            "{policy, threads, sockets} query objects")
+        p.add_argument("--timeout", type=float, default=120.0,
+                       help="client-side socket timeout (seconds)")
+        p.add_argument("--json", action="store_true",
+                       help="print the raw JSON result")
+        p.add_argument("--format", choices=("json", "prom", "prometheus"),
+                       default="json", help=format_help)
+        common(p)
+        p.set_defaults(func=_cmd_query)
+
     p_serve = sub.add_parser(
         "serve",
         help="run mctopd: the topology-and-placement daemon "
@@ -1076,61 +1092,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the raw JSON document")
     p_fstatus.set_defaults(func=_cmd_fleet_status)
 
-    p_fquery = fleet_sub.add_parser(
-        "query",
-        help="send one request through the fleet router (same protocol "
-             "as mctop query; the router shards it by content address)",
+    query_parser(
+        fleet_sub,
+        "send one request through the fleet router (same protocol "
+        "as mctop query; the router shards it by content address)",
+        "metrics verb only (the router merges JSON metrics fleet-wide)",
     )
-    from repro.service.protocol import VERBS as _VERBS
-
-    p_fquery.add_argument("verb", choices=_VERBS)
-    p_fquery.add_argument("machine", nargs="?",
-                          help="catalog machine (topology verbs)")
-    endpoint(p_fquery)
-    p_fquery.add_argument("--policy", default="CON_HWC")
-    p_fquery.add_argument("--threads", type=int, default=None)
-    p_fquery.add_argument("--sockets", type=int, default=None)
-    p_fquery.add_argument("--queries", metavar="JSON",
-                          help="place_many verb: JSON list of "
-                               "{policy, threads, sockets} query objects")
-    p_fquery.add_argument("--timeout", type=float, default=120.0,
-                          help="client-side socket timeout (seconds)")
-    p_fquery.add_argument("--json", action="store_true",
-                          help="print the raw JSON result")
-    p_fquery.add_argument("--format",
-                          choices=("json", "prom", "prometheus"),
-                          default="json",
-                          help="metrics verb only (the router merges "
-                               "JSON metrics fleet-wide)")
-    common(p_fquery)
-    p_fquery.set_defaults(func=_cmd_query)
-
-    p_query = sub.add_parser(
-        "query",
-        help="send one request to a running mctopd",
+    query_parser(
+        sub,
+        "send one request to a running mctopd",
+        "metrics verb only: 'prom' prints the Prometheus text exposition",
     )
-    from repro.service.protocol import VERBS
-
-    p_query.add_argument("verb", choices=VERBS)
-    p_query.add_argument("machine", nargs="?",
-                         help="catalog machine (topology verbs)")
-    endpoint(p_query)
-    p_query.add_argument("--policy", default="CON_HWC")
-    p_query.add_argument("--threads", type=int, default=None)
-    p_query.add_argument("--sockets", type=int, default=None)
-    p_query.add_argument("--queries", metavar="JSON",
-                         help="place_many verb: JSON list of "
-                              "{policy, threads, sockets} query objects")
-    p_query.add_argument("--timeout", type=float, default=120.0,
-                         help="client-side socket timeout (seconds)")
-    p_query.add_argument("--json", action="store_true",
-                         help="print the raw JSON result")
-    p_query.add_argument("--format", choices=("json", "prom", "prometheus"),
-                         default="json",
-                         help="metrics verb only: 'prom' prints the "
-                              "Prometheus text exposition")
-    common(p_query)
-    p_query.set_defaults(func=_cmd_query)
 
     p_top = sub.add_parser(
         "top",

@@ -48,6 +48,7 @@ span with an instant event per retried pair and per failed pair.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, NamedTuple
@@ -410,8 +411,11 @@ def _pair_seeded_records(
         tracer = probe.obs.tracer
         pool_start_us = tracer._now_us()
         results = []
+        # ``jobs`` comes off the wire too: never fork more workers than
+        # there are CPUs.  Chunks still follow ``jobs``, so the table
+        # and the worker-chunk spans do not depend on the host.
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.jobs
+            max_workers=min(cfg.jobs, os.cpu_count() or 1)
         ) as pool:
             futures = [
                 pool.submit(_measure_pairs_chunk, spec, chunk, overhead, cfg)

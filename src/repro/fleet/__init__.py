@@ -27,13 +27,12 @@ from repro.fleet.members import (
     parse_members,
 )
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
-from repro.fleet.router import FleetRouter, RouterConfig, run_router
-from repro.fleet.serve import FleetServeConfig, run_fleet
+from repro.fleet.router import FleetRouter, RouterConfig
+from repro.fleet.serve import run_fleet
 
 __all__ = [
     "DEFAULT_REPLICAS",
     "FleetRouter",
-    "FleetServeConfig",
     "HashRing",
     "HealthManager",
     "MemberConnection",
@@ -45,5 +44,4 @@ __all__ = [
     "parse_members",
     "probe_member",
     "run_fleet",
-    "run_router",
 ]

@@ -31,7 +31,7 @@ import time
 
 from repro.errors import ServiceError
 from repro.fleet.members import MemberSpec, MemberState, one_shot_request
-from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
+from repro.fleet.ring import HashRing
 from repro.obs import Observability
 from repro.obs.diff import severity_rank
 from repro.obs.events import EventLog
@@ -87,7 +87,6 @@ class HealthManager:
         interval: float = 5.0,
         probe_timeout: float = 5.0,
         fail_threshold: int = 2,
-        replicas: int = DEFAULT_REPLICAS,
         probe=probe_member,
     ):
         if not specs:
@@ -100,7 +99,6 @@ class HealthManager:
         self.interval = float(interval)
         self.probe_timeout = float(probe_timeout)
         self.fail_threshold = fail_threshold
-        self.replicas = replicas
         self._probe = probe
         self.states: dict[str, MemberState] = {
             spec.id: MemberState(spec) for spec in specs
@@ -110,7 +108,7 @@ class HealthManager:
                                code="invalid_params")
         #: The routing ring over in-ring members; empty until the first
         #: member joins.
-        self.ring = HashRing([], replicas=replicas)
+        self.ring = HashRing([])
         self.rebalances = 0
         self._task: asyncio.Task | None = None
 

@@ -51,7 +51,7 @@ class MemberSpec:
         return {"id": self.id, "endpoint": self.endpoint}
 
 
-def parse_member(text: str, index: int | None = None) -> MemberSpec:
+def parse_member(text: str) -> MemberSpec:
     """Parse ``[ID=]unix:PATH`` / ``[ID=]tcp:HOST:PORT``.
 
     A bare filesystem path is accepted as a unix endpoint.  Without an
@@ -101,7 +101,7 @@ def parse_member(text: str, index: int | None = None) -> MemberSpec:
 
 def parse_members(texts: "list[str] | tuple[str, ...]") -> list[MemberSpec]:
     """Parse a list of endpoint strings, rejecting duplicate ids."""
-    specs = [parse_member(t, i) for i, t in enumerate(texts)]
+    specs = [parse_member(t) for t in texts]
     seen: set[str] = set()
     for spec in specs:
         if spec.id in seen:

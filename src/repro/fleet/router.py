@@ -46,12 +46,10 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ServiceError
 from repro.fleet.health import HealthManager, probe_member
 from repro.fleet.members import MemberConnection, parse_members, one_shot_request
-from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.obs import Observability
 from repro.obs.merge import (
     merge_cache_stats,
@@ -68,7 +66,7 @@ from repro.service.handlers import (
     parse_trace_params,
 )
 from repro.service.protocol import PROTOCOL_VERSION, VERBS, Request
-from repro.service.server import NdjsonServer, RequestRecord, run_server
+from repro.service.server import NdjsonServer, RequestRecord, ServerConfig
 
 #: Verbs routed by inference digest (all resolve machine/seed/table).
 #: ``place_many`` shares ``place``'s params shape at the top level, so
@@ -86,40 +84,19 @@ TRANSPORT_ERRORS = (OSError, TimeoutError, ConnectionError)
 
 
 @dataclass(frozen=True)
-class RouterConfig:
-    """Everything the fleet router needs to run."""
+class RouterConfig(ServerConfig):
+    """Everything the fleet router needs to run: the shared server
+    fields, then the router's own."""
 
-    unix_path: str | Path | None = None
-    host: str | None = None
-    port: int = 0
-    #: Member endpoints (``[ID=]unix:PATH`` / ``[ID=]tcp:HOST:PORT``).
-    members: tuple[str, ...] = ()
     #: Per-member round-trip budget for a forwarded request.  Must
     #: exceed the members' own ``request_timeout`` or slow inferences
     #: fail over and run twice.
     request_timeout: float = 120.0
-    max_pending: int = 64
-    drain_timeout: float = 10.0
-    #: Must match the members' ``default_repetitions`` or the router
-    #: hashes a different digest than the member caches under.
-    default_repetitions: int = 75
+    #: Member endpoints (``[ID=]unix:PATH`` / ``[ID=]tcp:HOST:PORT``).
+    members: tuple[str, ...] = ()
     health_interval: float = 5.0
     probe_timeout: float = 5.0
     fail_threshold: int = 2
-    replicas: int = DEFAULT_REPLICAS
-    access_log: str | Path | None = None
-    access_log_max_bytes: int = 5_000_000
-    access_log_backups: int = 3
-    event_log: str | Path | None = None
-    event_log_max_bytes: int = 5_000_000
-    event_log_backups: int = 3
-    #: Router-side per-request trace retention (the ``trace`` verb's
-    #: fleet assembly joins member records under these router records).
-    trace_store: bool = True
-    trace_max_traces: int = 512
-    trace_max_bytes: int = 4_000_000
-    trace_ttl: float = 600.0
-    trace_sample_every: int = 64
 
 
 class FleetRouter(NdjsonServer):
@@ -131,17 +108,18 @@ class FleetRouter(NdjsonServer):
 
     def __init__(self, config: RouterConfig,
                  obs: Observability | None = None):
-        super().__init__(config, obs, member_id="router")
+        # The member list is refused, if at all, before the server core
+        # opens its logs, so a refused fleet leaves no file behind.
         self.health = HealthManager(
             parse_members(list(config.members)),
-            obs=self.obs,
-            events=self.event_log,
+            obs=obs,
             interval=config.health_interval,
             probe_timeout=config.probe_timeout,
             fail_threshold=config.fail_threshold,
-            replicas=config.replicas,
             probe=probe_member,
         )
+        super().__init__(config, self.health.obs, member_id="router")
+        self.health.events = self.event_log
         self._rr = 0
         self._params = TopologyParamsMemo()
         # Only protocol verbs and ``fleet`` get per-verb instruments:
@@ -442,10 +420,3 @@ class FleetRouter(NdjsonServer):
             doc["store"] = self.trace_store.status_doc()
         return self._ok(request, doc, rec)
 
-
-def run_router(config: RouterConfig,
-               obs: Observability | None = None,
-               ready_callback=None) -> int:
-    """Blocking entry point: the router until SIGTERM/SIGINT completes
-    the graceful drain."""
-    return run_server(lambda: FleetRouter(config, obs=obs), ready_callback)

@@ -19,54 +19,23 @@ same ring.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import signal
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import ServiceError
 from repro.fleet.router import FleetRouter, RouterConfig
 from repro.obs import Observability
 from repro.service.daemon import MctopDaemon, ServeConfig
 
 
-@dataclass(frozen=True)
-class FleetServeConfig:
-    """Everything ``mctop fleet serve`` needs."""
-
-    #: Sockets, per-member stores and logs live under here.
-    state_dir: str | Path = "mctop-fleet"
-    #: Spawn this many in-process members (``m0`` ... ``mN-1``).
-    n_members: int = 0
-    #: External member endpoints to front as well.
-    members: tuple[str, ...] = ()
-    #: Router listeners.
-    unix_path: str | Path | None = None
-    host: str | None = None
-    port: int = 0
-    #: Forwarded-request budget; see :class:`RouterConfig`.
-    request_timeout: float = 120.0
-    max_pending: int = 64
-    drain_timeout: float = 10.0
-    default_repetitions: int = 75
-    health_interval: float = 5.0
-    probe_timeout: float = 5.0
-    fail_threshold: int = 2
-    #: Router logs (members get their own under ``state_dir``).
-    access_log: str | Path | None = None
-    event_log: str | Path | None = None
-    #: Spawned members' knobs.
-    member_request_timeout: float = 60.0
-    member_max_pending: int = 64
-    member_cache_entries: int = 32
-
-
-def _member_configs(config: FleetServeConfig) -> "list[ServeConfig]":
+def _member_configs(config: RouterConfig, n_members: int,
+                    state_dir: str | Path) -> "list[ServeConfig]":
     """Spawned members: socket, store and event log per member, each
     peered with every other member (spawned *and* external)."""
-    state = Path(config.state_dir)
+    state = Path(state_dir)
     endpoints = {
         f"m{i}": f"unix:{state / 'members' / f'm{i}.sock'}"
-        for i in range(config.n_members)
+        for i in range(n_members)
     }
     configs = []
     for member_id, endpoint in endpoints.items():
@@ -78,10 +47,7 @@ def _member_configs(config: FleetServeConfig) -> "list[ServeConfig]":
         configs.append(ServeConfig(
             unix_path=endpoint[len("unix:"):],
             store_dir=member_dir / "store",
-            max_memory_entries=config.member_cache_entries,
             default_repetitions=config.default_repetitions,
-            request_timeout=config.member_request_timeout,
-            max_pending=config.member_max_pending,
             drain_timeout=config.drain_timeout,
             event_log=member_dir / "events.ndjson",
             member_id=member_id,
@@ -90,48 +56,29 @@ def _member_configs(config: FleetServeConfig) -> "list[ServeConfig]":
     return configs
 
 
-def build_router_config(config: FleetServeConfig,
-                        spawned: "list[ServeConfig]") -> RouterConfig:
-    member_endpoints = tuple(
-        f"{c.member_id}=unix:{c.unix_path}" for c in spawned
-    ) + tuple(config.members)
-    if not member_endpoints:
-        raise ServiceError(
-            "a fleet needs --members N and/or --member ENDPOINT",
-            code="invalid_params",
-        )
-    return RouterConfig(
-        unix_path=config.unix_path,
-        host=config.host,
-        port=config.port,
-        members=member_endpoints,
-        request_timeout=config.request_timeout,
-        max_pending=config.max_pending,
-        drain_timeout=config.drain_timeout,
-        default_repetitions=config.default_repetitions,
-        health_interval=config.health_interval,
-        probe_timeout=config.probe_timeout,
-        fail_threshold=config.fail_threshold,
-        access_log=config.access_log,
-        event_log=config.event_log,
-    )
-
-
-def run_fleet(config: FleetServeConfig,
+def run_fleet(config: RouterConfig, n_members: int = 0,
+              state_dir: str | Path = "mctop-fleet",
               obs: Observability | None = None,
               ready_callback=None) -> int:
-    """Blocking entry point: members first, then the router, then
-    drain everything on SIGTERM/SIGINT (router first, so no new work
-    reaches a member that is already draining)."""
+    """Blocking entry point: ``n_members`` spawned members (``m0`` ...,
+    sockets, stores and event logs under ``state_dir``) first, then the
+    router over them and ``config.members``, then drain everything on
+    SIGTERM/SIGINT (router first, so no new work reaches a member that
+    is already draining).  A fleet with no member at all is refused
+    with a :class:`~repro.errors.ServiceError` before anything binds."""
 
     async def _main() -> None:
-        daemons = [MctopDaemon(c) for c in _member_configs(config)]
-        for daemon in daemons:
-            await daemon.start()
+        member_configs = _member_configs(config, n_members, state_dir)
+        spawned = tuple(f"{c.member_id}=unix:{c.unix_path}"
+                        for c in member_configs)
         router = FleetRouter(
-            build_router_config(config, [d.config for d in daemons]),
+            dataclasses.replace(config,
+                                members=spawned + tuple(config.members)),
             obs=obs,
         )
+        daemons = [MctopDaemon(c) for c in member_configs]
+        for daemon in daemons:
+            await daemon.start()
         await router.start()
 
         def shutdown_all() -> None:

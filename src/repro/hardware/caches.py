@@ -68,10 +68,3 @@ class CacheHierarchy:
             if size_bytes <= level.size_bytes:
                 return level.latency
         return self.mem_latency
-
-    def level_of_working_set(self, size_bytes: int) -> int:
-        """Cache level (1-based) serving the working set; 0 = memory."""
-        for level in self.levels:
-            if size_bytes <= level.size_bytes:
-                return level.level
-        return 0

@@ -83,10 +83,6 @@ class PowerModel:
         """Power with every hardware context active."""
         return self.total(range(self.machine.spec.n_contexts), with_dram)
 
-    def first_context_power(self) -> float:
-        """Power with exactly one context active (calibration point)."""
-        return self.total([0])
-
     def second_context_delta(self) -> float:
         """Increment of activating the SMT sibling of a busy core."""
         core0 = self.machine.contexts_of_core(0)

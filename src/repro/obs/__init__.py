@@ -113,9 +113,6 @@ class Observability:
     def report(self) -> str:
         return render_report(self.tracer, self.registry)
 
-    def chrome_trace(self) -> dict:
-        return to_chrome_trace(self.tracer, self.registry)
-
     def write_chrome_trace(self, path):
         return write_chrome_trace(path, self.tracer, self.registry)
 

@@ -38,6 +38,7 @@ from repro.service.protocol import VERBS, Request
 from repro.service.server import (
     NdjsonServer,
     RequestRecord,
+    ServerConfig,
     bounded,
     inet_port,
     run_server,
@@ -45,31 +46,16 @@ from repro.service.server import (
 
 
 @dataclass(frozen=True)
-class ServeConfig:
-    """Everything ``mctopd`` needs to run."""
+class ServeConfig(ServerConfig):
+    """Everything ``mctopd`` needs to run: the shared server fields,
+    then the daemon's own."""
 
-    unix_path: str | Path | None = None
-    host: str | None = None
-    port: int = 0
     store_dir: str | Path | None = None
     max_memory_entries: int = 32
-    default_repetitions: int = 75
-    request_timeout: float = 60.0
-    max_pending: int = 64
-    drain_timeout: float = 10.0
     #: Serve Prometheus text on ``http://metrics_host:metrics_port/metrics``
     #: when set (0 picks a free port; see ``bound_metrics_port``).
     metrics_port: int | None = None
     metrics_host: str = "127.0.0.1"
-    #: Rotating NDJSON access log (one line per request) when set.
-    access_log: str | Path | None = None
-    access_log_max_bytes: int = 5_000_000
-    access_log_backups: int = 3
-    #: Structured NDJSON event log (drift checks, severity transitions,
-    #: cache evictions, watcher errors) when set.
-    event_log: str | Path | None = None
-    event_log_max_bytes: int = 5_000_000
-    event_log_backups: int = 3
     #: Run the background drift watcher every ``watch_interval`` seconds
     #: over ``watch_machines`` when both are set.  Checks use a quick
     #: measurement config (``watch_repetitions``) and diff against the
@@ -89,19 +75,6 @@ class ServeConfig:
     peer_timeout: float = 5.0
     #: How many ring-adjacent peers to ask per miss.
     peer_fanout: int = 2
-    #: Per-request trace retention (the ``trace`` verb): spans grouped
-    #: by request id with tail-based retention — error / SLO-violating
-    #: traces and a 1-in-``trace_sample_every`` sample pinned, fast ok
-    #: traces evicted first under the count/byte budget + TTL.  On by
-    #: default: the whole point is answering "why was request X slow?"
-    #: *after* the fact.  perfbench's place-small runs with it on, and
-    #: CI's perfbench gate holds that run's daemon CPU per frame within
-    #: its bound of the base commit's.
-    trace_store: bool = True
-    trace_max_traces: int = 512
-    trace_max_bytes: int = 4_000_000
-    trace_ttl: float = 600.0
-    trace_sample_every: int = 64
     #: SLO burn-rate engine (the ``slo`` verb): per-verb latency +
     #: availability objectives with fast/slow multi-window burn alerts.
     #: ``slo_objectives`` entries are ``VERB:p99=MS[,avail=PCT]``;

@@ -105,6 +105,43 @@ def _resume(coro, suspended_on):
                 return done.value
 
 
+@dataclass(frozen=True)
+class ServerConfig:
+    """The fields every NDJSON server reads: listeners, admission,
+    drain, logs and trace store.  :class:`~repro.service.daemon.ServeConfig`
+    and :class:`~repro.fleet.router.RouterConfig` extend it."""
+
+    unix_path: str | Path | None = None
+    host: str | None = None
+    port: int = 0
+    request_timeout: float = 60.0
+    max_pending: int = 64
+    drain_timeout: float = 10.0
+    #: A router must use its members' value, or it hashes a different
+    #: inference digest than the member caches under.
+    default_repetitions: int = 75
+    #: Rotating NDJSON access log (one line per request) when set.
+    access_log: str | Path | None = None
+    #: Structured NDJSON event log when set: a daemon's drift checks,
+    #: severity transitions and cache evictions; a router's member
+    #: joins, ejects and rebalances.
+    event_log: str | Path | None = None
+    #: Per-request trace retention (the ``trace`` verb): spans grouped
+    #: by request id with tail-based retention — error / SLO-violating
+    #: traces and a 1-in-``trace_sample_every`` sample pinned, fast ok
+    #: traces evicted first under the count/byte budget + TTL.  On by
+    #: default: the whole point is answering "why was request X slow?"
+    #: *after* the fact.  perfbench's place-small runs with it on, and
+    #: CI's perfbench gate holds that run's daemon CPU per frame within
+    #: its bound of the base commit's.  A router's records are the ones
+    #: the ``trace`` verb's fleet assembly joins member records under.
+    trace_store: bool = True
+    trace_max_traces: int = 512
+    trace_max_bytes: int = 4_000_000
+    trace_ttl: float = 600.0
+    trace_sample_every: int = 64
+
+
 def inet_port(servers) -> int | None:
     """The first bound AF_INET/AF_INET6 port of ``servers``."""
     for server in servers:
@@ -147,9 +184,8 @@ class RequestRecord:
 class NdjsonServer:
     """The server object: ``await start()``, then ``await wait_closed()``.
 
-    ``config`` is a :class:`~repro.service.daemon.ServeConfig` or a
-    :class:`~repro.fleet.router.RouterConfig`; both carry the listener,
-    admission, drain, log and trace-store fields read here.  A subclass
+    ``config`` is a :class:`ServerConfig`, which a subclass's config
+    extends with the fields of its own components.  A subclass
     sets the three names below, fills :attr:`routes` (and optionally
     :attr:`fallback`), and overrides the hooks it needs.  A route is a
     coroutine ``route(request, state, rec)`` that returns the response
@@ -165,7 +201,8 @@ class NdjsonServer:
     #: How error messages name the server.
     name: str
 
-    def __init__(self, config, obs: Observability | None = None, *,
+    def __init__(self, config: ServerConfig,
+                 obs: Observability | None = None, *,
                  member_id: str | None = None):
         if config.unix_path is None and config.host is None:
             raise ServiceError(f"{self.name} needs a unix socket path, "
@@ -176,17 +213,11 @@ class NdjsonServer:
         if config.event_log is not None:
             self.event_log = EventLog(
                 config.event_log,
-                max_bytes=config.event_log_max_bytes,
-                backups=config.event_log_backups,
                 request_id_provider=current_request_id.get,
             )
         self.access_log: AccessLog | None = None
         if config.access_log is not None:
-            self.access_log = AccessLog(
-                config.access_log,
-                max_bytes=config.access_log_max_bytes,
-                backups=config.access_log_backups,
-            )
+            self.access_log = AccessLog(config.access_log)
         self.trace_store: TraceStore | None = None
         if config.trace_store:
             self.trace_store = TraceStore(

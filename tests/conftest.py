@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.hardware import MeasurementContext, get_machine
+from repro.service import MctopClient, MctopDaemon, ServeConfig
 
 
 def pytest_addoption(parser):
@@ -73,3 +75,63 @@ def timeout_timers():
     """``with timeout_timers(loop) as timers:`` counts the timeouts
     armed on a server's event loop in ``timers.count``."""
     return _TimeoutTimers
+
+
+class DaemonHarness:
+    """A live daemon in a background event-loop thread."""
+
+    def __init__(self, config: ServeConfig):
+        self.config = config
+        self.daemon: MctopDaemon | None = None
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._ready = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        async def main() -> None:
+            self.daemon = MctopDaemon(self.config)
+            self.loop = asyncio.get_running_loop()
+            await self.daemon.start()
+            self._ready.set()
+            await self.daemon.wait_closed()
+
+        asyncio.run(main())
+
+    def start(self) -> "DaemonHarness":
+        self._thread.start()
+        assert self._ready.wait(10), "daemon failed to start"
+        return self
+
+    def stop(self) -> None:
+        if self.loop is not None and self._thread.is_alive():
+            self.loop.call_soon_threadsafe(self.daemon.request_shutdown)
+        self._thread.join(15)
+        assert not self._thread.is_alive(), "daemon failed to drain"
+
+    def client(self, timeout: float = 30.0) -> MctopClient:
+        return MctopClient(unix_path=self.config.unix_path, timeout=timeout)
+
+
+@pytest.fixture()
+def daemon_factory(tmp_path):
+    """Start live daemons with per-test :class:`ServeConfig` overrides,
+    each on a Unix socket in its own event-loop thread; every one is
+    stopped through the graceful-drain path."""
+    harnesses: list[DaemonHarness] = []
+
+    def factory(**overrides) -> DaemonHarness:
+        fields = dict(
+            unix_path=str(tmp_path / f"mctopd{len(harnesses)}.sock"),
+            store_dir=str(tmp_path / "store"),
+            default_repetitions=31,
+            drain_timeout=3.0,
+            debug_verbs=True,
+        )
+        fields.update(overrides)
+        harness = DaemonHarness(ServeConfig(**fields)).start()
+        harnesses.append(harness)
+        return harness
+
+    yield factory
+    for harness in harnesses:
+        harness.stop()

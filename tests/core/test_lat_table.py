@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -77,6 +79,30 @@ class TestCollection:
         true = testbox.comm_latency(0, 1)
         # The very first measured pair is taken on cold cores.
         assert cold.table[0, 1] > true + 15
+
+
+def test_pool_runs_at_most_one_worker_per_cpu(testbox, monkeypatch):
+    """``jobs`` arrives off the wire: a pool never outnumbers the CPUs,
+    and the table does not depend on how many workers ran it."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tables = [
+        collect_latency_table(
+            MeasurementContext(testbox, seed=3),
+            LatencyTableConfig(repetitions=31, jobs=jobs),
+        ).table
+        for jobs in (4, 2)
+    ]
+    assert pools == [2, 2]
+    assert tables[0].tobytes() == tables[1].tobytes()
 
 
 class TestPaperDefaults:

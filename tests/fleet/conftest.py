@@ -138,56 +138,3 @@ def fleet_factory(tmp_path):
 def fleet(fleet_factory) -> FleetHarness:
     """A running 3-member fleet with cache peering."""
     return fleet_factory()
-
-
-class DaemonHarness:
-    """One live daemon in a background loop thread (retry tests)."""
-
-    def __init__(self, config: ServeConfig):
-        self.config = config
-        self.daemon: MctopDaemon | None = None
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self.daemon = MctopDaemon(self.config)
-            self.loop = asyncio.get_running_loop()
-            await self.daemon.start()
-            self._ready.set()
-            await self.daemon.wait_closed()
-
-        asyncio.run(main())
-
-    def start(self) -> "DaemonHarness":
-        self._thread.start()
-        assert self._ready.wait(10), "daemon failed to start"
-        return self
-
-    def stop(self) -> None:
-        if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(self.daemon.request_shutdown)
-        self._thread.join(15)
-        assert not self._thread.is_alive(), "daemon failed to drain"
-
-
-@pytest.fixture()
-def daemon_factory(tmp_path):
-    harnesses: list[DaemonHarness] = []
-
-    def factory(**overrides) -> DaemonHarness:
-        fields = dict(
-            unix_path=str(tmp_path / f"mctopd{len(harnesses)}.sock"),
-            default_repetitions=31,
-            drain_timeout=3.0,
-            debug_verbs=True,
-        )
-        fields.update(overrides)
-        harness = DaemonHarness(ServeConfig(**fields)).start()
-        harnesses.append(harness)
-        return harness
-
-    yield factory
-    for harness in harnesses:
-        harness.stop()

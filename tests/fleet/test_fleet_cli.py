@@ -15,8 +15,8 @@ import pytest
 
 from repro.cli import _render_fleet, main
 from repro.errors import ServiceError
-from repro.fleet import FleetServeConfig
-from repro.fleet.serve import _member_configs, build_router_config
+from repro.fleet import RouterConfig, run_fleet
+from repro.fleet.serve import _member_configs
 from repro.service import MctopClient
 from repro.service.top import render_fleet_lines
 
@@ -117,8 +117,7 @@ class TestRendering:
 
 class TestServeConfigBuilders:
     def test_member_configs_are_cross_peered(self, tmp_path):
-        config = FleetServeConfig(state_dir=tmp_path, n_members=3)
-        members = _member_configs(config)
+        members = _member_configs(RouterConfig(), 3, tmp_path)
         assert [m.member_id for m in members] == ["m0", "m1", "m2"]
         for member in members:
             assert str(tmp_path / "members") in str(member.unix_path)
@@ -129,31 +128,31 @@ class TestServeConfigBuilders:
             assert peer_ids == {"m0", "m1", "m2"} - {member.member_id}
 
     def test_external_members_join_every_peer_list(self, tmp_path):
-        config = FleetServeConfig(
-            state_dir=tmp_path, n_members=2,
+        config = RouterConfig(
+            unix_path=str(tmp_path / "r.sock"),
             members=("ext=unix:/run/ext.sock",),
         )
-        members = _member_configs(config)
+        members = _member_configs(config, 2, tmp_path)
         for member in members:
             assert "ext=unix:/run/ext.sock" in member.peers
-        router = build_router_config(config, members)
-        assert len(router.members) == 3
-        assert router.members[-1] == "ext=unix:/run/ext.sock"
+        routed = []
 
-    def test_router_config_inherits_the_shared_knobs(self, tmp_path):
-        config = FleetServeConfig(
-            state_dir=tmp_path, n_members=1, unix_path="/tmp/r.sock",
-            default_repetitions=31, fail_threshold=5,
-        )
-        router = build_router_config(config, _member_configs(config))
-        assert router.default_repetitions == 31
-        assert router.fail_threshold == 5
-        assert router.unix_path == "/tmp/r.sock"
+        def ready(router, daemons):
+            routed.extend(router.config.members)
+            router.request_shutdown()
+
+        assert run_fleet(config, n_members=2, state_dir=tmp_path,
+                         ready_callback=ready) == 0
+        assert routed == [f"{m.member_id}=unix:{m.unix_path}"
+                          for m in members] + ["ext=unix:/run/ext.sock"]
 
     def test_no_members_at_all_is_rejected(self, tmp_path):
-        config = FleetServeConfig(state_dir=tmp_path)
-        with pytest.raises(ServiceError):
-            build_router_config(config, [])
+        config = RouterConfig(unix_path=str(tmp_path / "r.sock"),
+                              access_log=str(tmp_path / "access.ndjson"),
+                              event_log=str(tmp_path / "events.ndjson"))
+        with pytest.raises(ServiceError, match="at least one member"):
+            run_fleet(config, state_dir=tmp_path / "fleet")
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_arg_validation(self, capsys):
         code, _, err = run_cli(capsys, "fleet", "serve",
@@ -166,15 +165,14 @@ class TestServeConfigBuilders:
         assert "--members" in err
 
 
-def test_fleet_serve_subprocess_smoke(tmp_path):
-    """Black-box: ``mctop fleet serve --members 2``, one warm/cold
-    infer pair through the router, SIGTERM drains everything."""
+def start_fleet_serve(tmp_path, *args) -> "tuple[subprocess.Popen, Path]":
+    """``mctop fleet serve ARGS`` as a subprocess on a router socket
+    under ``tmp_path``, once its router answers ``ping``."""
     sock = tmp_path / "router.sock"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO_SRC}{os.pathsep}" + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "fleet", "serve",
-         "--members", "2",
+        [sys.executable, "-m", "repro", "fleet", "serve", *args,
          "--unix", str(sock),
          "--state-dir", str(tmp_path / "fleet"),
          "--repetitions", "31",
@@ -185,17 +183,33 @@ def test_fleet_serve_subprocess_smoke(tmp_path):
         text=True,
     )
     deadline = time.monotonic() + 30
+    while True:
+        try:
+            with MctopClient(unix_path=sock, timeout=5) as client:
+                if client.ping().get("role") == "router":
+                    return proc, sock
+        except ServiceError:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                if proc.poll() is None:
+                    proc.kill()
+                out = proc.communicate(timeout=5)[0]
+                raise AssertionError(f"fleet did not come up:\n{out}")
+            time.sleep(0.05)
+
+
+def assert_drained(proc: subprocess.Popen, sock: Path) -> None:
+    """SIGTERM drained the whole fleet: exit 0 and the socket removed."""
+    out, _ = proc.communicate(timeout=20)
+    assert proc.returncode == 0, f"non-zero exit after SIGTERM:\n{out}"
+    assert "fleet drained, bye" in out
+    assert not sock.exists(), "router socket not cleaned up on drain"
+
+
+def test_fleet_serve_subprocess_smoke(tmp_path):
+    """Black-box: ``mctop fleet serve --members 2``, one warm/cold
+    infer pair through the router, SIGTERM drains everything."""
+    proc, sock = start_fleet_serve(tmp_path, "--members", "2")
     try:
-        while True:
-            try:
-                with MctopClient(unix_path=sock, timeout=5) as client:
-                    if client.ping().get("role") == "router":
-                        break
-            except ServiceError:
-                if proc.poll() is not None or time.monotonic() > deadline:
-                    out = proc.communicate(timeout=5)[0]
-                    raise AssertionError(f"fleet did not come up:\n{out}")
-                time.sleep(0.05)
         with MctopClient(unix_path=sock, timeout=60) as client:
             cold = client.infer("testbox", seed=1)
             warm = client.infer("testbox", seed=1)
@@ -206,7 +220,26 @@ def test_fleet_serve_subprocess_smoke(tmp_path):
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)
-    out, _ = proc.communicate(timeout=20)
-    assert proc.returncode == 0, f"non-zero exit after SIGTERM:\n{out}"
-    assert "fleet drained, bye" in out
-    assert not sock.exists(), "router socket not cleaned up on drain"
+    assert_drained(proc, sock)
+
+
+def test_fleet_serve_mixes_spawned_and_external_members(
+        tmp_path, daemon_factory):
+    """Black-box: one spawned member beside an already-running daemon
+    (``--members 1 --member ext=unix:...``); both join the ring and an
+    infer answers through it."""
+    external = daemon_factory(member_id="ext")
+    proc, sock = start_fleet_serve(
+        tmp_path, "--members", "1",
+        "--member", f"ext=unix:{external.config.unix_path}",
+    )
+    try:
+        with MctopClient(unix_path=sock, timeout=60) as client:
+            assert client.request("fleet")["in_ring"] == 2
+            result = client.infer("testbox", seed=1)
+            assert result["machine"] == "testbox"
+            assert client.last_upstream["member"] in ("m0", "ext")
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+    assert_drained(proc, sock)

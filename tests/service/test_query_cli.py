@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
+from repro.core.algorithm import LatencyTableConfig
+from repro.service import inference_key
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,16 @@ class TestQuery:
         )
         assert code == 2
         assert "needs a MACHINE" in err
+
+    def test_sampling_reaches_the_daemon(self, capsys, harness):
+        sock = str(harness.config.unix_path)
+        code, out, _ = run_cli(capsys, "query", "infer", "testbox",
+                               "--unix", sock, "--repetitions", "31",
+                               "--sampling", "pair", "--json")
+        assert code == 0
+        assert json.loads(out)["key"] == inference_key(
+            "testbox", 0, LatencyTableConfig(repetitions=31, sampling="pair")
+        )
 
     def test_endpoint_required(self, capsys):
         code, _, err = run_cli(capsys, "query", "ping")
