@@ -149,9 +149,9 @@ class FleetRouter(NdjsonServer):
         # as long as the client holds its connection to the router.
         return {}
 
-    async def _close_connection(self, pool: dict) -> None:
+    def _close_connection(self, pool: dict) -> None:
         for conn in pool.values():
-            await conn.close()
+            conn.close_nowait()
 
     # ------------------------------------------------------------ local verbs
     async def _ping(self, request: Request, pool: dict,

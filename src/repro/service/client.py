@@ -56,6 +56,7 @@ class _Connection:
     def connect(self) -> "_Connection":
         if self.sock is not None:
             return self
+        sock = None
         try:
             if self.unix_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -66,6 +67,8 @@ class _Connection:
                     (self.host, self.port), timeout=self.timeout
                 )
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ServiceError(
                 f"cannot connect to mctopd at "
                 f"{self.unix_path or f'{self.host}:{self.port}'}: {exc}",

@@ -52,7 +52,7 @@ from repro.place.policies import ALL_POLICIES, Policy
 from repro.service.cache import InferenceCache, SingleFlight, inference_key
 from repro.service.client import MctopClient
 from repro.service.context import current_request_id
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, EncodedDoc
 
 
 def _invalid(message: str) -> ServiceError:
@@ -325,8 +325,10 @@ class Handlers:
         #: Per-index memo of fully-formed placement result documents,
         #: shared by ``place`` and ``place_many``: an index is
         #: immutable, so a grid hit's document is a constant (see
-        #: ``_memo_query``).  Weak keys tie each memo's lifetime to its
-        #: index object, so evicting a topology drops its documents.
+        #: ``_memo_query``), kept with its JSON (an
+        #: :class:`~repro.service.protocol.EncodedDoc`).  Weak keys tie
+        #: each memo's lifetime to its index object, so evicting a
+        #: topology drops its documents.
         self._place_docs: "WeakKeyDictionary" = WeakKeyDictionary()
         self.singleflight = SingleFlight(obs=obs)
         #: Cache peering: the other fleet members this daemon may ask
@@ -552,6 +554,7 @@ class Handlers:
         the server-side service time.  Old clients ignore both keys;
         ``policy`` / ``n_threads`` / ``ordering`` / ``stats`` are
         byte-identical to an in-process :class:`~repro.place.Placement`.
+        A memoized document's answer splices its JSON, encoded once.
         """
         start = time.perf_counter()
         key, mctop, cached = await self._topology(params)
@@ -560,7 +563,10 @@ class Handlers:
         doc, hit = self._memo_query(memo, index, params, True)
         if hit:
             self.obs.counter("service.place.index_hits").inc()
-        doc = {**doc, "key": key, "cached": cached}
+        if type(doc) is EncodedDoc:
+            doc = doc.extended(key=key, cached=cached)
+        else:
+            doc = {**doc, "key": key, "cached": cached}
         doc["ms"] = round((time.perf_counter() - start) * 1e3, 3)
         return doc
 
@@ -822,9 +828,10 @@ class Handlers:
         The memo is keyed on the *validated* ``(policy, threads,
         sockets, include_stats)``, so ``threads: true`` or ``1.0`` is
         refused even once ``threads: 1`` is memoized (``True == 1 ==
-        1.0`` in Python).  Only grid hits are memoized; a query outside
-        the grid is computed every time.  The memoized document is
-        shared: a caller that adds keys copies it first.
+        1.0`` in Python).  Only grid hits are memoized, each as an
+        :class:`~repro.service.protocol.EncodedDoc`; a query outside the
+        grid is computed every time.  The memoized document is shared:
+        a caller that adds keys copies it first.
         """
         probe = (self._policy(query), _get_int(query, "threads", None),
                  _get_int(query, "sockets", None), include_stats)
@@ -834,7 +841,7 @@ class Handlers:
         doc = self._place_query(index, *probe[:3],
                                 include_stats=include_stats)
         if doc["index"]:
-            memo[probe] = doc
+            doc = memo[probe] = EncodedDoc.of(doc)
         return doc, False
 
     def _place_query(self, index, policy: Policy, n_threads: int | None,

@@ -31,7 +31,9 @@ for forward compatibility.  See ``docs/SERVICE.md`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.errors import ProtocolError
 
@@ -101,9 +103,85 @@ class Request:
     parent_request_id: str | None = None
 
 
+#: The encoder of every frame: ``json.dumps(obj, separators=(",", ":"))``
+#: builds one like it per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def encode_frame(obj: dict) -> bytes:
     """One NDJSON frame: compact JSON + newline."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODER.encode(obj).encode("utf-8") + b"\n"
+
+
+class EncodedDoc(dict):
+    """A result document that keeps the compact JSON of its first keys.
+
+    ``head`` is what :func:`encode_frame` writes for a dict of the
+    document's first ``n_head`` keys, less the closing brace.  A
+    memoized ``place`` document is encoded once, when it is memoized;
+    an answer built from it with :meth:`extended` adds a few keys of its
+    own, which :func:`encode_response` encodes and splices after the
+    head.  To any other reader it is the plain dict it holds.
+    """
+
+    __slots__ = ("head", "n_head")
+
+    @classmethod
+    def of(cls, doc: dict) -> "EncodedDoc":
+        """``doc``, with its JSON encoded now."""
+        encoded = cls(doc)
+        encoded.head = _ENCODER.encode(doc)[:-1]
+        encoded.n_head = len(doc)
+        return encoded
+
+    def extended(self, **keys) -> "EncodedDoc":
+        """A copy with ``keys`` added after the encoded ones."""
+        doc = EncodedDoc(self)
+        doc.update(keys)
+        doc.head = self.head
+        doc.n_head = self.n_head
+        return doc
+
+
+def _encode_value(value) -> str:
+    """The compact JSON of one value, as :func:`encode_frame` writes it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+def encode_response(response: dict) -> bytes:
+    """``encode_frame(response)``, byte for byte, with an
+    :class:`EncodedDoc` result spliced from its head rather than
+    encoded again."""
+    result = response.get("result")
+    if type(result) is not EncodedDoc:
+        return encode_frame(response)
+    parts = []
+    for key, value in response.items():
+        if key == "result":
+            text = result.head
+            for tail_key, tail_value in islice(result.items(), result.n_head,
+                                               None):
+                text += (f"{',' if len(text) > 1 else ''}"
+                         f"{_encode_str(tail_key)}:"
+                         f"{_encode_value(tail_value)}")
+            parts.append(f"{_encode_str(key)}:{text}}}")
+        else:
+            parts.append(f"{_encode_str(key)}:{_encode_value(value)}")
+    return f"{{{','.join(parts)}}}\n".encode("utf-8")
 
 
 def decode_request(line: bytes | str) -> Request:

@@ -3,12 +3,23 @@
 Both servers speak the protocol of :mod:`repro.service.protocol` on a
 Unix socket and/or a TCP port, and differ only in the verbs they answer
 and what they run beside their listeners.  Everything else lives here,
-once: listener binding, connection tracking, readline framing with the
+once: listener binding, connection tracking, framing with the
 oversized-frame rejection, request-id minting and the
 :data:`~repro.service.context.current_request_id` context, the
 draining/backpressure gate, per-verb counters and latency timers, error
 mapping, signal handlers, the graceful drain and the blocking entry
 point.
+
+Each connection is an asyncio protocol (:class:`_Connection`).  A
+frame is split off in ``data_received`` and its dispatch is stepped
+right there: a route that finishes without suspending (a warm
+``place``, a ``ping``) is answered at once, with no task, no read
+future and no drain.  The first route that suspends (a cold ``infer``,
+any frame the router forwards) moves the connection to a task of its
+own, which finishes that frame and then serves every later frame of the
+connection, one at a time, as a stream loop would.  Either way no frame
+is taken off a connection before the one ahead of it is answered, so
+answers keep request order.
 
 Every answered frame, undecodable and oversized ones included, is
 completed by :meth:`NdjsonServer._complete` after its response is
@@ -21,7 +32,10 @@ Robustness model:
 
 * **backpressure** — at most ``max_pending`` requests execute at once;
   beyond that the server answers immediately with a ``backpressure``
-  error instead of queueing unboundedly;
+  error instead of queueing unboundedly.  A client that stops reading
+  its answers stops being read: once the transport's write buffer is
+  over its high-water mark (``pause_writing``), no further frame is
+  served until it drains (``resume_writing``);
 * **graceful drain** — SIGTERM/SIGINT stop the listeners, frames on
   connections still open get ``shutting_down``, in-flight requests get
   ``drain_timeout`` seconds to finish, then the loop exits cleanly
@@ -31,6 +45,7 @@ Robustness model:
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import signal
 import time
 import types
@@ -48,9 +63,15 @@ from repro.service.protocol import (
     VERBS,
     Request,
     decode_request,
-    encode_frame,
+    encode_response,
     error_response,
     ok_response,
+)
+
+#: ``True`` in the context a :class:`_Connection` steps a frame in,
+#: outside any task; see :func:`bounded`.
+_stepped_inline: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "ndjson_stepped_inline", default=False
 )
 
 
@@ -66,6 +87,12 @@ async def bounded(coro, timeout: float):
     so it times out with ``TimeoutError``, or is cancelled, exactly as
     inside ``async with asyncio.timeout(timeout)``.  A warm ``place``
     never suspends; a cold ``infer`` does.
+
+    The timeout needs a running task.  When a connection steps the
+    frame in ``data_received``, outside any task, the first suspension
+    hands the frame to a task first (a bare yield, which the connection
+    answers by moving the frame to its task) and arms the timer once
+    that task resumes it.
     """
     deadline = asyncio.get_running_loop().time() + timeout
     try:
@@ -74,6 +101,8 @@ async def bounded(coro, timeout: float):
         return done.value
     entered = False
     try:
+        if _stepped_inline.get() and asyncio.current_task() is None:
+            await asyncio.sleep(0)
         async with asyncio.timeout_at(deadline):
             entered = True
             return await _resume(coro, suspended_on)
@@ -243,7 +272,10 @@ class NdjsonServer:
         self._verb_instruments: dict = {}
         self._queue_depth = None
         self._servers: list[asyncio.base_events.Server] = []
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
+        #: What every connection's transport reads into; one read is
+        #: consumed before the loop runs the next.
+        self._receive_buffer = memoryview(bytearray(256 * 1024))
         self._inflight = 0
         self._draining = False
         self._drained = asyncio.Event()
@@ -262,26 +294,27 @@ class NdjsonServer:
         """Per-connection state handed to every route."""
         return None
 
-    async def _close_connection(self, state) -> None:
-        """Release what :meth:`_open_connection` returned."""
+    def _close_connection(self, state) -> None:
+        """Release what :meth:`_open_connection` returned, once the
+        connection has ended."""
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         """Bind the listeners (idempotent-unfriendly: call once)."""
         started = await self._start_components()
         cfg = self.config
+        loop = asyncio.get_running_loop()
         if cfg.unix_path is not None:
             path = Path(cfg.unix_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             if path.is_socket():
                 path.unlink()
-            self._servers.append(await asyncio.start_unix_server(
-                self._client_connected, path=str(path), limit=MAX_LINE_BYTES
+            self._servers.append(await loop.create_unix_server(
+                lambda: _Connection(self), path=str(path)
             ))
         if cfg.host is not None:
-            self._servers.append(await asyncio.start_server(
-                self._client_connected, host=cfg.host, port=cfg.port,
-                limit=MAX_LINE_BYTES,
+            self._servers.append(await loop.create_server(
+                lambda: _Connection(self), host=cfg.host, port=cfg.port
             ))
         self.obs.instant(f"{self.lifecycle}.started", **started)
 
@@ -308,8 +341,8 @@ class NdjsonServer:
     async def _drain(self) -> None:
         for server in self._servers:
             await server.wait_closed()
-        # Wait for in-flight requests only; clients idling in readline
-        # get disconnected as soon as the last response is written.
+        # Wait for in-flight requests only; idle clients get
+        # disconnected as soon as the last response is written.
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_timeout
         while self._inflight > 0 and loop.time() < deadline:
@@ -318,11 +351,14 @@ class NdjsonServer:
             self.obs.counter(f"{self.prefix}.drain.aborted_requests").inc(
                 self._inflight
             )
-        pending = {t for t in self._connections if not t.done()}
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        connections = list(self._connections)
+        for conn in connections:
+            conn.shut()
+        await asyncio.gather(
+            *(conn.task for conn in connections if conn.task is not None),
+            *(conn.closed for conn in connections),
+            return_exceptions=True,
+        )
         await self._stop_components()
         # Flush-and-fsync both NDJSON logs: the final access line and
         # event must be durably on disk before the process exits.
@@ -351,68 +387,24 @@ class NdjsonServer:
             ready_callback(self)
         await self.wait_closed()
 
-    # ------------------------------------------------------------ connections
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.obs.counter(f"{self.prefix}.connections.accepted").inc()
-        self.obs.gauge(f"{self.prefix}.connections.open").set(
-            len(self._connections)
-        )
-        state = self._open_connection()
-        try:
-            await self._serve_connection(reader, writer, state)
-        except asyncio.CancelledError:
-            # Drain cancelled an idle connection; that is a clean close,
-            # not an error to propagate into asyncio's stream callback.
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            self.obs.counter(f"{self.prefix}.connections.reset").inc()
-        finally:
-            self._connections.discard(task)
-            self.obs.gauge(f"{self.prefix}.connections.open").set(
-                len(self._connections)
-            )
-            await self._close_connection(state)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-        state,
-    ) -> None:
-        while True:
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                rec = RequestRecord(new_request_id(), time.perf_counter(),
-                                    outcome="bad_request")
-                await self._answer(writer, rec, error_response(
-                    None, "bad_request",
-                    f"request frame exceeds {MAX_LINE_BYTES} bytes",
-                    request_id=rec.request_id,
-                ))
-                return  # framing is lost; drop the connection
-            if not line:
-                return  # EOF
-            if line.strip() == b"":
-                continue
-            rec = RequestRecord(new_request_id(), time.perf_counter())
-            await self._answer(writer, rec,
-                               await self._dispatch(line, state, rec))
-
-    async def _answer(self, writer: asyncio.StreamWriter,
-                      rec: RequestRecord, response: dict) -> None:
+    # ------------------------------------------------------------ answers
+    def _encode(self, rec: RequestRecord, response: dict) -> bytes:
+        """The answer frame of ``response``, its frame completed."""
         encode_start = time.perf_counter()
-        frame = encode_frame(response)
+        frame = encode_response(response)
         self._complete(rec, len(frame), encode_start)
-        writer.write(frame)
-        await writer.drain()
+        return frame
+
+    def _oversized(self) -> bytes:
+        """The answer to a frame longer than ``MAX_LINE_BYTES``; the
+        connection is dropped after it, since framing is lost."""
+        rec = RequestRecord(new_request_id(), time.perf_counter(),
+                            outcome="bad_request")
+        return self._encode(rec, error_response(
+            None, "bad_request",
+            f"request frame exceeds {MAX_LINE_BYTES} bytes",
+            request_id=rec.request_id,
+        ))
 
     def _complete(self, rec: RequestRecord, bytes_out: int,
                   encode_start: float) -> None:
@@ -588,6 +580,242 @@ class NdjsonServer:
         """The ok answer to ``request`` carrying ``result``."""
         rec.note_cache(result)
         return ok_response(request.id, result, request_id=rec.request_id)
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection of an :class:`NdjsonServer`.
+
+    While no route has suspended, frames are split in
+    :meth:`data_received` and answered there (:meth:`_serve_frame`).
+    The first route that suspends starts :attr:`task`, which finishes
+    that frame and then reads the rest of the connection from
+    :attr:`reader`, a ``StreamReader`` fed by this protocol.  Writing
+    backpressure pauses reading while answers are written inline, and
+    makes the task wait, as ``StreamWriter.drain`` would.
+
+    The transport reads into the server's one receive buffer and the
+    bytes read are copied out at once (:meth:`buffer_updated`): a
+    plain protocol is handed a fresh 256 KiB ``recv`` buffer, shrunk to
+    what arrived, for every read, which can cost page faults per frame.
+    """
+
+    def __init__(self, server: NdjsonServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        #: What the server's ``_open_connection`` returned.
+        self.state = None
+        #: The task serving the connection, once a route suspended,
+        #: and the reader it takes frames from.
+        self.task: asyncio.Task | None = None
+        self.reader: asyncio.StreamReader | None = None
+        #: Done once the transport has closed.
+        self.closed: asyncio.Future | None = None
+        #: The context each inline frame steps in a copy of.
+        self._context: contextvars.Context | None = None
+        #: Bytes received and not yet served: whole frames held back by
+        #: a write pause, then an unterminated tail.
+        self._buffer: bytes | bytearray = b""
+        #: Leading bytes of the tail already searched for a newline.
+        self._scanned = 0
+        self._write_paused = False
+        self._drain_waiter: asyncio.Future | None = None
+        self._lost = False
+
+    # ------------------------------------------------------------ protocol
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.closed = asyncio.get_running_loop().create_future()
+        self._context = contextvars.copy_context()
+        self._context.run(_stepped_inline.set, True)
+        server = self.server
+        server._connections.add(self)
+        server.obs.counter(f"{server.prefix}.connections.accepted").inc()
+        server.obs.gauge(f"{server.prefix}.connections.open").set(
+            len(server._connections)
+        )
+        self.state = server._open_connection()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._receive_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.server._receive_buffer[:nbytes].tobytes())
+
+    def data_received(self, data: bytes) -> None:
+        if self.reader is not None:
+            self.reader.feed_data(data)
+            return
+        if self._buffer:
+            buffer = self._buffer
+            if type(buffer) is bytes:
+                buffer = bytearray(buffer)
+            buffer += data
+            data = buffer
+        self._buffer = data
+        self._serve_buffered()
+
+    def eof_received(self) -> bool:
+        if self.reader is None:
+            # An unterminated last frame is served, as ``readline``
+            # hands it back at EOF.
+            tail, self._buffer = self._buffer, b""
+            if tail.strip():
+                self._serve_frame(bytes(tail))
+            if self.reader is None:
+                return False  # every answer is written: close
+        self.reader.feed_eof()
+        return True
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._lost = True
+        self._wake_drain(exc)
+        if self.reader is not None:
+            if exc is None:
+                self.reader.feed_eof()
+            else:
+                self.reader.set_exception(exc)
+        else:
+            if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                self._count_reset()
+            self._end()
+        self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        if self.task is None:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self.task is None:
+            if self.transport.is_closing():
+                return
+            self.transport.resume_reading()
+            self._serve_buffered()
+        else:
+            self._wake_drain(None)
+
+    # ------------------------------------------------------------ inline
+    def _serve_buffered(self) -> None:
+        """Serve the buffer's whole frames until one suspends or the
+        transport asks for a pause; keep what is left."""
+        buffer = self._buffer
+        start = 0
+        while self.task is None and not self._write_paused:
+            end = buffer.find(b"\n", start + self._scanned)
+            if end < 0:
+                if len(buffer) - start > MAX_LINE_BYTES:
+                    return self._reject_oversized()
+                self._scanned = len(buffer) - start
+                break
+            self._scanned = 0
+            if end - start > MAX_LINE_BYTES:
+                return self._reject_oversized()
+            line = buffer[start:end + 1]
+            start = end + 1
+            if line.strip():
+                self._serve_frame(line if type(line) is bytes
+                                  else bytes(line))
+        else:
+            self._scanned = 0
+        rest = buffer[start:] if start else buffer
+        if self.task is not None:
+            self._buffer = b""
+            self.reader.feed_data(rest)
+        else:
+            self._buffer = rest
+
+    def _serve_frame(self, line: bytes) -> None:
+        """Step one frame's dispatch; answer it if its route finished,
+        else hand it to a new task that then serves the connection."""
+        server = self.server
+        rec = RequestRecord(new_request_id(), time.perf_counter())
+        coro = server._dispatch(line, self.state, rec)
+        context = self._context.copy()
+        try:
+            suspended_on = context.run(coro.send, None)
+        except StopIteration as done:
+            self.transport.write(server._encode(rec, done.value))
+            return
+        self.reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
+        self.reader.set_transport(self.transport)
+        self.task = asyncio.get_running_loop().create_task(
+            self._serve_task(coro, suspended_on, rec), context=context
+        )
+
+    def _reject_oversized(self) -> None:
+        self._buffer = b""
+        self.transport.write(self.server._oversized())
+        self.transport.close()
+
+    # ------------------------------------------------------------ task
+    async def _serve_task(self, coro, suspended_on, rec: RequestRecord
+                          ) -> None:
+        """Finish the frame whose route suspended, then serve the
+        connection's later frames one at a time."""
+        server = self.server
+        try:
+            response = await _resume(coro, suspended_on)
+            await self._write(server._encode(rec, response))
+            while True:
+                try:
+                    line = await self.reader.readline()
+                except ValueError:  # past MAX_LINE_BYTES
+                    await self._write(server._oversized())
+                    return  # framing is lost; drop the connection
+                if not line:
+                    return  # EOF
+                if line.strip() == b"":
+                    continue
+                rec = RequestRecord(new_request_id(), time.perf_counter())
+                response = await server._dispatch(line, self.state, rec)
+                await self._write(server._encode(rec, response))
+        except asyncio.CancelledError:
+            # Drain cancelled an idle connection; that is a clean close.
+            pass
+        except (ConnectionResetError, BrokenPipeError):
+            self._count_reset()
+        finally:
+            self._end()
+            self.transport.close()
+
+    async def _write(self, frame: bytes) -> None:
+        self.transport.write(frame)
+        if self._lost:
+            raise ConnectionResetError("Connection lost")
+        if self._write_paused:
+            self._drain_waiter = asyncio.get_running_loop().create_future()
+            await self._drain_waiter
+
+    def _wake_drain(self, exc: Exception | None) -> None:
+        waiter, self._drain_waiter = self._drain_waiter, None
+        if waiter is not None and not waiter.done():
+            if exc is None:
+                waiter.set_result(None)
+            else:
+                waiter.set_exception(exc)
+
+    # ------------------------------------------------------------ end
+    def shut(self) -> None:
+        """End the connection for the graceful drain."""
+        if self.task is not None:
+            self.task.cancel()
+        else:
+            self.transport.close()
+
+    def _count_reset(self) -> None:
+        self.server.obs.counter(f"{self.server.prefix}.connections.reset"
+                                ).inc()
+
+    def _end(self) -> None:
+        """Forget the connection, once: when its transport is lost while
+        no task serves it, else when its task ends."""
+        server = self.server
+        server._connections.discard(self)
+        server.obs.gauge(f"{server.prefix}.connections.open").set(
+            len(server._connections)
+        )
+        server._close_connection(self.state)
 
 
 def run_server(factory, ready_callback=None) -> int:

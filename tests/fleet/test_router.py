@@ -364,8 +364,9 @@ class TestMemberTimers:
         with ``TimeoutError``, which is what the router fails over on."""
         async def main():
             path = str(tmp_path / "mute.sock")
+            accepted = []
             server = await asyncio.start_unix_server(
-                lambda reader, writer: None, path=path
+                lambda reader, writer: accepted.append(writer), path=path
             )
             conn = MemberConnection(MemberSpec(id="mute", unix_path=path))
             try:
@@ -373,7 +374,11 @@ class TestMemberTimers:
                     await conn.request("ping", {}, 0.05)
             finally:
                 await conn.close()
+                for writer in accepted:
+                    writer.close()
+                    await writer.wait_closed()
                 server.close()
+                await server.wait_closed()
 
         asyncio.run(main())
 

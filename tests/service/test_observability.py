@@ -116,6 +116,7 @@ class TestSloVerb:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/healthz", timeout=10
             )
+        excinfo.value.close()
         assert excinfo.value.code == 503
 
 

@@ -248,3 +248,67 @@ class TestPlacementObservability:
         assert after["service.place.index_misses"]["value"] == 1
         hits = "service.place.index_hits"
         assert after[hits]["value"] == before[hits]["value"]
+
+
+class TestSplicedAnswers:
+    """A memoized ``place`` document keeps its JSON, and the answer
+    frame is spliced around it; it must equal ``encode_frame`` of the
+    same response, byte for byte, for every query of the grid and every
+    shape of client ``id``."""
+
+    #: Frame ``id``s: absent, null, int, float, bool, a non-ASCII
+    #: string, a nested list and a nested object.
+    IDS = [{}, {"id": None}, {"id": 7}, {"id": 2.5}, {"id": True},
+           {"id": "ünï\"cødé"}, {"id": [1, {"a": 2.5}]},
+           {"id": {"k": [None, False, "x"]}}]
+
+    def test_every_ivy_grid_query_and_id(self):
+        import asyncio
+
+        from repro.obs import Observability
+        from repro.service.cache import InferenceCache
+        from repro.service.handlers import Handlers, Session
+        from repro.service.protocol import (
+            EncodedDoc,
+            decode_request,
+            encode_frame,
+            encode_response,
+            ok_response,
+        )
+
+        topology = {"machine": "ivy", "seed": 1, "repetitions": 31}
+
+        async def main() -> int:
+            obs = Observability()
+            handlers = Handlers(InferenceCache(obs=obs), obs)
+            session = Session()
+            await handlers.infer(dict(topology), session)
+            key = handlers._inference_params(topology)[3]
+            index = handlers.cache.get_memory(key)._placement_index
+            n_chain = len(index._chain)
+            checked = 0
+            for policy, threads, sockets in sorted(index._entries):
+                queries = [{"threads": threads, "sockets": sockets}]
+                if sockets == n_chain:
+                    queries.append({"threads": threads})
+                for query in queries:
+                    params = {**topology, "policy": policy, **query}
+                    for _ in range(2):  # memoized, then a memo hit
+                        result = await handlers.place(params, session)
+                    assert type(result) is EncodedDoc
+                    for extra in self.IDS:
+                        request = decode_request(encode_frame(
+                            {"verb": "place", "params": params, **extra}))
+                        for parent in (None, "00ff00ff00ff00ff"):
+                            response = ok_response(
+                                request.id, result,
+                                request_id="0123456789abcdef")
+                            if parent is not None:
+                                response["parent_request_id"] = parent
+                            assert encode_response(response) == \
+                                encode_frame(response), (params, extra)
+                            checked += 1
+            return checked
+
+        checked = asyncio.run(main())
+        assert checked > 16 * 480

@@ -204,6 +204,7 @@ class TestMetricsHttpEndpoint:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/nope", timeout=10
             )
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_metrics_listener_does_not_shadow_tcp_port(self, daemon_factory):
