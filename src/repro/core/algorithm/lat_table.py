@@ -48,6 +48,7 @@ span with an instant event per retried pair and per failed pair.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -71,7 +72,19 @@ PAPER_DEFAULTS = {
     "max_stdev_threshold": 0.14,
 }
 
+#: The most samples a pair may take per attempt, five times the paper's
+#: 2000: a table's time and memory grow with it, and it comes off the
+#: wire.
+MAX_REPETITIONS = 10_000
+#: The longest warm-up spin loop, 200 times the default: the simulated
+#: loop's cycle count must stay a finite float.
+MAX_WARMUP_LOOP_ITERS = 10_000_000
+
 _SAMPLING_SCHEMES = ("auto", "sequential", "pair")
+
+#: The knobs that must be finite numbers (``int`` or ``float``).
+_FLOAT_FIELDS = ("stdev_threshold", "max_stdev_threshold", "stdev_floor",
+                 "spurious_deviation", "max_discard_fraction")
 
 #: config knobs that select *how* the table is computed but cannot
 #: change a single bit of it — excluded from cache digests.
@@ -122,6 +135,37 @@ class LatencyTableConfig:
                 "scheme; the 'sequential' scheme threads one RNG stream "
                 "through every pair and cannot be parallelized"
             )
+        for name, cap in (("repetitions", MAX_REPETITIONS),
+                          ("warmup_loop_iters", MAX_WARMUP_LOOP_ITERS)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or not 1 <= value <= cap:
+                raise ConfigError(
+                    f"{name} must be an integer from 1 to {cap}"
+                )
+        # Every one of these keeps the retry loop of _measure_pair
+        # finite: the threshold it doubles starts above 0 and meets a
+        # finite ceiling, and every sample is judged against a number.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(
+                    f"{name} must be a number, got {type(value).__name__}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.stdev_threshold <= 0:
+            raise ConfigError("stdev_threshold must be > 0")
+        if self.max_stdev_threshold < self.stdev_threshold:
+            raise ConfigError(
+                "max_stdev_threshold must be >= stdev_threshold"
+            )
+        if self.stdev_floor < 0:
+            raise ConfigError("stdev_floor must be >= 0")
+        if not 0 <= self.max_discard_fraction <= 1:
+            raise ConfigError("max_discard_fraction must be in [0, 1]")
+        if self.spurious_deviation <= 0:
+            raise ConfigError("spurious_deviation must be > 0")
 
     @classmethod
     def paper(cls, **overrides) -> "LatencyTableConfig":

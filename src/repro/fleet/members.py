@@ -14,6 +14,14 @@ re-homed to a new socket without moving its keys.
 :class:`MemberState` is the router's live view of one member: its
 health status (``healthy``/``degraded``/``ejected``), consecutive
 failure count and the last drift severity the health loop saw.
+
+:class:`MemberConnection` is one connection to a member.  Its protocol
+splits the member's answers off what it reads with the
+:class:`~repro.service.protocol.FrameSplitter` a server splits requests
+with, and a request awaits the future the protocol resolves once an
+answer is whole.  A connection lost, an answer that is not JSON and an
+answer past ``MAX_LINE_BYTES`` all raise ``ConnectionResetError``, a
+transport error the router fails over on.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError, ServiceError
-from repro.service.protocol import MAX_LINE_BYTES, decode_response, encode_frame
+from repro.service.protocol import FrameSplitter, decode_response, encode_frame
 from repro.service.server import bounded
 
 #: Member health statuses.  ``degraded`` members stay in the ring
@@ -151,68 +159,66 @@ class MemberState:
         }
 
 
-class _ReaderProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
-    """A stream's protocol that reads into a buffer of its own and
-    copies each read out.
+class _MemberProtocol(asyncio.BufferedProtocol):
+    """A member connection's protocol: it splits the member's answers
+    off what it reads and wakes the read waiting for one.  It reads into
+    a buffer of its own: a plain protocol is handed a fresh 256 KiB
+    ``recv`` buffer per read, which cost a router minor page faults on
+    every forwarded frame."""
 
-    A plain protocol is handed a fresh 256 KiB ``recv`` buffer, shrunk
-    to what arrived, for every read.  A router reads one member answer
-    per forwarded frame, and that allocation cost it minor page faults
-    on every one of them.
-    """
+    def __init__(self):
+        self.transport: asyncio.Transport | None = None
+        self.frames = FrameSplitter()
+        self.waiter: asyncio.Future | None = None  # a read awaits it
+        self.closed = asyncio.get_running_loop().create_future()
+        self._read_buffer = memoryview(bytearray(16 * 1024))
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 loop: asyncio.AbstractEventLoop):
-        super().__init__(reader, loop=loop)
-        self._buffer = memoryview(bytearray(16 * 1024))
+    def connection_made(self, transport) -> None:
+        self.transport = transport
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._buffer
+        return self._read_buffer
 
     def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(self._buffer[:nbytes].tobytes())
+        self.frames.feed(self._read_buffer[:nbytes].tobytes())
+        self._wake()
 
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed.set_result(None)
+        self._wake()
 
-async def _open_stream(spec: "MemberSpec"
-                       ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """``asyncio.open_(unix_)connection`` to ``spec``, on a
-    :class:`_ReaderProtocol`."""
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-    if spec.unix_path is not None:
-        transport, protocol = await loop.create_unix_connection(
-            lambda: _ReaderProtocol(reader, loop), spec.unix_path
-        )
-    else:
-        transport, protocol = await loop.create_connection(
-            lambda: _ReaderProtocol(reader, loop), spec.host, spec.port
-        )
-    return reader, asyncio.StreamWriter(transport, protocol, reader, loop)
+    def _wake(self) -> None:
+        if self.waiter is not None and not self.waiter.done():
+            self.waiter.set_result(None)
 
 
 class MemberConnection:
-    """One open NDJSON stream to a member (router-side, asyncio).
+    """One open NDJSON connection to a member (router-side, asyncio).
 
     The router keeps one per (client connection, member) so stateful
     verbs (``pool_switch``) keep their per-connection session on the
-    member for as long as the client holds its connection.
+    member for as long as the client holds its connection.  It carries
+    one request at a time, so its write buffer never holds more than
+    one frame and a request writes without waiting for a drain.
     """
 
     def __init__(self, spec: MemberSpec):
         self.spec = spec
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._protocol: _MemberProtocol | None = None
         self._next_id = 0
 
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None
-
     async def _connect(self, timeout: float) -> None:
-        if self._writer is not None:
+        if self._protocol is not None:
             return
-        self._reader, self._writer = await bounded(_open_stream(self.spec),
-                                                   timeout)
+        loop = asyncio.get_running_loop()
+        spec = self.spec
+        if spec.unix_path is not None:
+            connect = loop.create_unix_connection(_MemberProtocol,
+                                                  spec.unix_path)
+        else:
+            connect = loop.create_connection(_MemberProtocol, spec.host,
+                                             spec.port)
+        self._protocol = (await bounded(connect, timeout))[1]
 
     async def request(self, verb: str, params: dict, timeout: float,
                       parent_request_id: str | None = None) -> dict:
@@ -224,18 +230,10 @@ class MemberConnection:
         frame_doc = {"verb": verb, "id": self._next_id, "params": params}
         if parent_request_id is not None:
             frame_doc["parent_request_id"] = parent_request_id
-        self._writer.write(encode_frame(frame_doc))
-        # Each await under its own bound, on this task: no Task per
-        # forwarded frame, and no timer for a drain that does not wait.
-        await bounded(self._writer.drain(), timeout)
-        line = await bounded(self._reader.readline(), timeout)
-        if not line:
-            raise ConnectionResetError(
-                f"member {self.spec.id} closed the connection"
-            )
+        self._protocol.transport.write(encode_frame(frame_doc))
         try:
-            doc = decode_response(line)
-        except ProtocolError as exc:
+            doc = decode_response(await bounded(self._read(), timeout))
+        except ProtocolError as exc:  # garbage, or an answer too long
             raise ConnectionResetError(
                 f"member {self.spec.id} sent garbage: {exc}"
             ) from exc
@@ -245,20 +243,30 @@ class MemberConnection:
             )
         return doc
 
+    async def _read(self) -> bytes:
+        """The member's next answer frame."""
+        protocol = self._protocol
+        while (line := protocol.frames.next_frame()) is None:
+            if protocol.closed.done():
+                raise ConnectionResetError(
+                    f"member {self.spec.id} closed the connection"
+                )
+            protocol.waiter = asyncio.get_running_loop().create_future()
+            await protocol.waiter
+        return line
+
     def close_nowait(self) -> None:
-        """Start closing the stream (:meth:`close` also waits for it)."""
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
+        """Start closing the connection (:meth:`close` also waits for
+        it)."""
+        protocol, self._protocol = self._protocol, None
+        if protocol is not None:
+            protocol.transport.close()
 
     async def close(self) -> None:
-        writer = self._writer
+        protocol = self._protocol
         self.close_nowait()
-        if writer is not None:
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        if protocol is not None:
+            await protocol.closed
 
 
 async def one_shot_request(spec: MemberSpec, verb: str, params: dict,

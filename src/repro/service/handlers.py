@@ -84,6 +84,8 @@ def parse_inference_params(
     seed = _get_int(params, "seed", 0)
     if seed is None:  # an explicit null; a missing seed means 0
         raise _invalid("'seed' must be an integer, got None")
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise _invalid("'seed' must be >= 0")
     # Measurement knobs arrive either as a full 'table' config dict
     # (the LatencyTableConfig.to_dict shape) or as the 'repetitions'
     # / 'jobs' shortcuts, which override individual table entries.

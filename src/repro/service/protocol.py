@@ -44,6 +44,74 @@ PROTOCOL_VERSION = 1
 #: leaves ample headroom while still bounding a misbehaving peer.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
+
+class FrameTooLong(ProtocolError):
+    """A frame longer than :data:`MAX_LINE_BYTES`: framing is lost."""
+
+
+class FrameSplitter:
+    """NDJSON frames split off a byte stream: the one newline scan and
+    :data:`MAX_LINE_BYTES` rule, for a server's requests and the fleet
+    router's member answers.  :meth:`feed` what was read, then take
+    frames with :meth:`next_frame` until it returns ``None``."""
+
+    __slots__ = ("_buffer", "_start", "_scanned", "_eof")
+
+    def __init__(self) -> None:
+        self._buffer: bytes | bytearray = b""
+        self._start = 0  # the bytes before it are split off
+        self._scanned = 0  # bytes from _start searched for a newline
+        self._eof = False
+
+    @property
+    def pending(self) -> int:
+        """Bytes received and not yet split off."""
+        return len(self._buffer) - self._start
+
+    def feed(self, data: bytes) -> None:
+        buffer, start = self._buffer, self._start
+        if start == len(buffer):
+            self._buffer = data
+        else:
+            if start or type(buffer) is bytes:
+                buffer = bytearray(memoryview(buffer)[start:])
+            buffer += data
+            self._buffer = buffer
+        self._start = 0
+
+    def feed_eof(self) -> None:
+        self._eof = True
+
+    def next_frame(self) -> bytes | None:
+        """The next frame, newline included; ``None`` until one is
+        whole.  After :meth:`feed_eof` the unterminated tail comes last,
+        as ``StreamReader.readline`` returns it, then ``b""``.  A frame
+        past :data:`MAX_LINE_BYTES` raises :class:`FrameTooLong` and
+        drops the buffer."""
+        buffer, start = self._buffer, self._start
+        newline = buffer.find(b"\n", start + self._scanned)
+        if newline < 0:
+            end = len(buffer)
+            if end - start > MAX_LINE_BYTES:
+                raise self._too_long()
+            if not self._eof:
+                self._scanned = end - start
+                return None
+        elif newline - start > MAX_LINE_BYTES:
+            raise self._too_long()
+        else:
+            end = newline + 1
+        self._start, self._scanned = end, 0
+        if end == len(buffer):  # hold no reference to what is served
+            self._buffer, self._start = b"", 0
+        frame = buffer[start:end]
+        return frame if type(frame) is bytes else bytes(frame)
+
+    def _too_long(self) -> FrameTooLong:
+        self._buffer, self._start, self._scanned = b"", 0, 0
+        return FrameTooLong(f"frame exceeds {MAX_LINE_BYTES} bytes")
+
+
 #: The verbs ``mctopd`` routes.  ``ping`` is the liveness probe;
 #: ``place_many`` answers one batch of placement queries against one
 #: topology in a single round-trip (the hot-path form of ``place``);
@@ -184,6 +252,26 @@ def encode_response(response: dict) -> bytes:
     return f"{{{','.join(parts)}}}\n".encode("utf-8")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("a number is out of float range")
+    return value
+
+
+#: The decoder of every request frame.  Strict JSON: ``NaN`` and
+#: ``Infinity``, which ``json.loads`` takes, are refused, and so is a
+#: literal past float range such as ``1e999``, which it reads as
+#: infinity.  A client ``id`` is echoed back, so an answer stays JSON
+#: to a strict parser.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant,
+                            parse_float=_finite_float)
+
+
 def decode_request(line: bytes | str) -> Request:
     """Parse and validate one request line."""
     if isinstance(line, bytes):
@@ -193,7 +281,11 @@ def decode_request(line: bytes | str) -> Request:
             )
         line = line.decode("utf-8", errors="replace")
     try:
-        doc = json.loads(line)
+        if line.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            )
+        doc = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
     except RecursionError:

@@ -14,12 +14,11 @@ Each connection is an asyncio protocol (:class:`_Connection`).  A
 frame is split off in ``data_received`` and its dispatch is stepped
 right there: a route that finishes without suspending (a warm
 ``place``, a ``ping``) is answered at once, with no task, no read
-future and no drain.  The first route that suspends (a cold ``infer``,
-any frame the router forwards) moves the connection to a task of its
-own, which finishes that frame and then serves every later frame of the
-connection, one at a time, as a stream loop would.  Either way no frame
-is taken off a connection before the one ahead of it is answered, so
-answers keep request order.
+future and no drain.  A route that suspends (a cold ``infer``, any
+frame the router forwards) finishes in a task of its own, and the
+frames behind it wait until its done callback serves them.  So no
+frame is taken off a connection before the one ahead of it is
+answered, and answers keep request order.
 
 Every answered frame, undecodable and oversized ones included, is
 completed by :meth:`NdjsonServer._complete` after its response is
@@ -38,8 +37,9 @@ Robustness model:
   served until it drains (``resume_writing``);
 * **graceful drain** — SIGTERM/SIGINT stop the listeners, frames on
   connections still open get ``shutting_down``, in-flight requests get
-  ``drain_timeout`` seconds to finish, then the loop exits cleanly
-  (exit code 0).
+  ``drain_timeout`` seconds to finish, then every connection is closed
+  (answers a client has not read by then are dropped) and the loop
+  exits cleanly (exit code 0).
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ from repro.service.context import current_request_id, new_request_id
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     VERBS,
+    FrameSplitter,
+    FrameTooLong,
     Request,
     decode_request,
     encode_response,
@@ -89,10 +91,10 @@ async def bounded(coro, timeout: float):
     never suspends; a cold ``infer`` does.
 
     The timeout needs a running task.  When a connection steps the
-    frame in ``data_received``, outside any task, the first suspension
-    hands the frame to a task first (a bare yield, which the connection
-    answers by moving the frame to its task) and arms the timer once
-    that task resumes it.
+    frame outside any task, the first suspension hands the frame to a
+    task first (a bare yield, which the connection answers by finishing
+    the frame in a task of its own) and arms the timer once that task
+    resumes it.
     """
     deadline = asyncio.get_running_loop().time() + timeout
     try:
@@ -278,6 +280,10 @@ class NdjsonServer:
         self._receive_buffer = memoryview(bytearray(256 * 1024))
         self._inflight = 0
         self._draining = False
+        #: Set once the drain has shut every connection; a connection
+        #: accepted before the listeners closed but made after that is
+        #: closed at once.
+        self._shut = False
         self._drained = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
 
@@ -339,8 +345,6 @@ class NdjsonServer:
         self._drain_task = asyncio.ensure_future(self._drain())
 
     async def _drain(self) -> None:
-        for server in self._servers:
-            await server.wait_closed()
         # Wait for in-flight requests only; idle clients get
         # disconnected as soon as the last response is written.
         loop = asyncio.get_running_loop()
@@ -351,14 +355,28 @@ class NdjsonServer:
             self.obs.counter(f"{self.prefix}.drain.aborted_requests").inc(
                 self._inflight
             )
+        self._shut = True
         connections = list(self._connections)
         for conn in connections:
             conn.shut()
+        if connections:
+            # A client that stopped reading keeps its connection open
+            # until its answers are sent: past the deadline they are
+            # dropped.
+            await asyncio.wait([conn.closed for conn in connections],
+                               timeout=max(0.0, deadline - loop.time()))
+            for conn in connections:
+                if not conn.closed.done():
+                    conn.transport.abort()
         await asyncio.gather(
             *(conn.task for conn in connections if conn.task is not None),
             *(conn.closed for conn in connections),
             return_exceptions=True,
         )
+        # Since Python 3.12.1 this waits for every accepted connection
+        # to close, so it comes once they are shut.
+        for server in self._servers:
+            await server.wait_closed()
         await self._stop_components()
         # Flush-and-fsync both NDJSON logs: the final access line and
         # event must be durably on disk before the process exits.
@@ -585,13 +603,12 @@ class NdjsonServer:
 class _Connection(asyncio.BufferedProtocol):
     """One client connection of an :class:`NdjsonServer`.
 
-    While no route has suspended, frames are split in
-    :meth:`data_received` and answered there (:meth:`_serve_frame`).
-    The first route that suspends starts :attr:`task`, which finishes
-    that frame and then reads the rest of the connection from
-    :attr:`reader`, a ``StreamReader`` fed by this protocol.  Writing
-    backpressure pauses reading while answers are written inline, and
-    makes the task wait, as ``StreamWriter.drain`` would.
+    Frames are split in :meth:`data_received` and answered there
+    (:meth:`_serve_frame`).  A route that suspends finishes in
+    :attr:`task`; meanwhile later bytes only accumulate, and reading
+    pauses once more than 2 x ``MAX_LINE_BYTES`` of them wait.  The
+    task's done callback then serves them, outside any task again.
+    Writing backpressure pauses reading and serving.
 
     The transport reads into the server's one receive buffer and the
     bytes read are copied out at once (:meth:`buffer_updated`): a
@@ -604,22 +621,15 @@ class _Connection(asyncio.BufferedProtocol):
         self.transport: asyncio.Transport | None = None
         #: What the server's ``_open_connection`` returned.
         self.state = None
-        #: The task serving the connection, once a route suspended,
-        #: and the reader it takes frames from.
+        #: The task of the frame whose route suspended, while it runs.
         self.task: asyncio.Task | None = None
-        self.reader: asyncio.StreamReader | None = None
         #: Done once the transport has closed.
         self.closed: asyncio.Future | None = None
-        #: The context each inline frame steps in a copy of.
+        #: The context each frame steps in a copy of.
         self._context: contextvars.Context | None = None
-        #: Bytes received and not yet served: whole frames held back by
-        #: a write pause, then an unterminated tail.
-        self._buffer: bytes | bytearray = b""
-        #: Leading bytes of the tail already searched for a newline.
-        self._scanned = 0
+        #: Bytes received and not yet served.
+        self._frames = FrameSplitter()
         self._write_paused = False
-        self._drain_waiter: asyncio.Future | None = None
-        self._lost = False
 
     # ------------------------------------------------------------ protocol
     def connection_made(self, transport) -> None:
@@ -634,6 +644,8 @@ class _Connection(asyncio.BufferedProtocol):
             len(server._connections)
         )
         self.state = server._open_connection()
+        if server._shut:
+            transport.close()
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self.server._receive_buffer
@@ -642,92 +654,60 @@ class _Connection(asyncio.BufferedProtocol):
         self.data_received(self.server._receive_buffer[:nbytes].tobytes())
 
     def data_received(self, data: bytes) -> None:
-        if self.reader is not None:
-            self.reader.feed_data(data)
-            return
-        if self._buffer:
-            buffer = self._buffer
-            if type(buffer) is bytes:
-                buffer = bytearray(buffer)
-            buffer += data
-            data = buffer
-        self._buffer = data
+        self._frames.feed(data)
         self._serve_buffered()
 
     def eof_received(self) -> bool:
-        if self.reader is None:
-            # An unterminated last frame is served, as ``readline``
-            # hands it back at EOF.
-            tail, self._buffer = self._buffer, b""
-            if tail.strip():
-                self._serve_frame(bytes(tail))
-            if self.reader is None:
-                return False  # every answer is written: close
-        self.reader.feed_eof()
-        return True
+        self._frames.feed_eof()
+        self._serve_buffered()
+        return True  # closed once every answer is written
 
     def connection_lost(self, exc: Exception | None) -> None:
-        self._lost = True
-        self._wake_drain(exc)
-        if self.reader is not None:
-            if exc is None:
-                self.reader.feed_eof()
-            else:
-                self.reader.set_exception(exc)
-        else:
-            if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-                self._count_reset()
+        if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            server = self.server
+            server.obs.counter(f"{server.prefix}.connections.reset").inc()
+        if self.task is None:
             self._end()
         self.closed.set_result(None)
 
     def pause_writing(self) -> None:
         self._write_paused = True
-        if self.task is None:
-            self.transport.pause_reading()
+        self.transport.pause_reading()
 
     def resume_writing(self) -> None:
         self._write_paused = False
-        if self.task is None:
-            if self.transport.is_closing():
-                return
-            self.transport.resume_reading()
-            self._serve_buffered()
-        else:
-            self._wake_drain(None)
+        self._serve_buffered()
 
-    # ------------------------------------------------------------ inline
+    # ------------------------------------------------------------ frames
     def _serve_buffered(self) -> None:
-        """Serve the buffer's whole frames until one suspends or the
-        transport asks for a pause; keep what is left."""
-        buffer = self._buffer
-        start = 0
+        """Serve the whole frames received, in order, until one suspends
+        or writing pauses; close the connection after its last answer
+        or an oversized frame."""
+        transport = self.transport
+        if transport.is_closing():
+            return
+        frames = self._frames
         while self.task is None and not self._write_paused:
-            end = buffer.find(b"\n", start + self._scanned)
-            if end < 0:
-                if len(buffer) - start > MAX_LINE_BYTES:
-                    return self._reject_oversized()
-                self._scanned = len(buffer) - start
-                break
-            self._scanned = 0
-            if end - start > MAX_LINE_BYTES:
-                return self._reject_oversized()
-            line = buffer[start:end + 1]
-            start = end + 1
+            try:
+                line = frames.next_frame()
+            except FrameTooLong:
+                transport.write(self.server._oversized())
+                transport.close()
+                return
+            if line is None:
+                transport.resume_reading()
+                return
+            if not line:  # EOF, and every frame is answered
+                transport.close()
+                return
             if line.strip():
-                self._serve_frame(line if type(line) is bytes
-                                  else bytes(line))
-        else:
-            self._scanned = 0
-        rest = buffer[start:] if start else buffer
-        if self.task is not None:
-            self._buffer = b""
-            self.reader.feed_data(rest)
-        else:
-            self._buffer = rest
+                self._serve_frame(line)
+        if frames.pending > 2 * MAX_LINE_BYTES:
+            transport.pause_reading()
 
     def _serve_frame(self, line: bytes) -> None:
         """Step one frame's dispatch; answer it if its route finished,
-        else hand it to a new task that then serves the connection."""
+        else finish it in a task of its own."""
         server = self.server
         rec = RequestRecord(new_request_id(), time.perf_counter())
         coro = server._dispatch(line, self.state, rec)
@@ -737,79 +717,40 @@ class _Connection(asyncio.BufferedProtocol):
         except StopIteration as done:
             self.transport.write(server._encode(rec, done.value))
             return
-        self.reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-        self.reader.set_transport(self.transport)
         self.task = asyncio.get_running_loop().create_task(
-            self._serve_task(coro, suspended_on, rec), context=context
+            self._finish(coro, suspended_on, rec), context=context
         )
+        self.task.add_done_callback(self._frame_done)
 
-    def _reject_oversized(self) -> None:
-        self._buffer = b""
-        self.transport.write(self.server._oversized())
-        self.transport.close()
-
-    # ------------------------------------------------------------ task
-    async def _serve_task(self, coro, suspended_on, rec: RequestRecord
-                          ) -> None:
-        """Finish the frame whose route suspended, then serve the
-        connection's later frames one at a time."""
-        server = self.server
+    async def _finish(self, coro, suspended_on, rec: RequestRecord
+                      ) -> None:
+        """Finish the frame whose route suspended and write its answer."""
         try:
             response = await _resume(coro, suspended_on)
-            await self._write(server._encode(rec, response))
-            while True:
-                try:
-                    line = await self.reader.readline()
-                except ValueError:  # past MAX_LINE_BYTES
-                    await self._write(server._oversized())
-                    return  # framing is lost; drop the connection
-                if not line:
-                    return  # EOF
-                if line.strip() == b"":
-                    continue
-                rec = RequestRecord(new_request_id(), time.perf_counter())
-                response = await server._dispatch(line, self.state, rec)
-                await self._write(server._encode(rec, response))
-        except asyncio.CancelledError:
-            # Drain cancelled an idle connection; that is a clean close.
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            self._count_reset()
-        finally:
-            self._end()
+            self.transport.write(self.server._encode(rec, response))
+        except BaseException:
+            # Cancelled by the drain, or failed: the connection ends.
             self.transport.close()
+            raise
 
-    async def _write(self, frame: bytes) -> None:
-        self.transport.write(frame)
-        if self._lost:
-            raise ConnectionResetError("Connection lost")
-        if self._write_paused:
-            self._drain_waiter = asyncio.get_running_loop().create_future()
-            await self._drain_waiter
-
-    def _wake_drain(self, exc: Exception | None) -> None:
-        waiter, self._drain_waiter = self._drain_waiter, None
-        if waiter is not None and not waiter.done():
-            if exc is None:
-                waiter.set_result(None)
-            else:
-                waiter.set_exception(exc)
+    def _frame_done(self, task: asyncio.Task) -> None:
+        """Serve the frames behind the finished one, outside any task."""
+        self.task = None
+        if self.closed.done():
+            self._end()
+        else:
+            self._serve_buffered()
 
     # ------------------------------------------------------------ end
     def shut(self) -> None:
         """End the connection for the graceful drain."""
         if self.task is not None:
             self.task.cancel()
-        else:
-            self.transport.close()
-
-    def _count_reset(self) -> None:
-        self.server.obs.counter(f"{self.server.prefix}.connections.reset"
-                                ).inc()
+        self.transport.close()
 
     def _end(self) -> None:
-        """Forget the connection, once: when its transport is lost while
-        no task serves it, else when its task ends."""
+        """Forget the connection, once its transport is lost and no
+        frame of it is running."""
         server = self.server
         server._connections.discard(self)
         server.obs.gauge(f"{server.prefix}.connections.open").set(

@@ -10,8 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import ConfigError, MeasurementError
 from repro.core.algorithm.lat_table import (
+    MAX_REPETITIONS,
+    MAX_WARMUP_LOOP_ITERS,
     PAPER_DEFAULTS,
     LatencyTableConfig,
     collect_latency_table,
@@ -135,6 +137,52 @@ class TestPaperDefaults:
         fast = LatencyTableConfig.paper(repetitions=31)
         assert fast.repetitions == 31
         assert fast.stdev_threshold == PAPER_DEFAULTS["stdev_threshold"]
+
+
+class TestConfigBounds:
+    """Every knob is refused where the retry loop would not end, or
+    would end only by luck, and where a table would grow without bound."""
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"stdev_threshold": 0, "stdev_floor": 0}, "stdev_threshold"),
+        ({"stdev_threshold": -0.07, "stdev_floor": 0}, "stdev_threshold"),
+        ({"stdev_threshold": float("nan")}, "must be finite, got nan"),
+        ({"max_stdev_threshold": float("inf")}, "must be finite"),
+        ({"stdev_floor": float("-inf")}, "must be finite"),
+        ({"stdev_threshold": "0.07"}, "must be a number, got str"),
+        ({"stdev_floor": True}, "must be a number, got bool"),
+        ({"spurious_deviation": None}, "must be a number, got NoneType"),
+        ({"stdev_threshold": 0.2}, "max_stdev_threshold"),
+        ({"stdev_floor": -1}, "stdev_floor"),
+        ({"max_discard_fraction": -0.1}, "max_discard_fraction"),
+        ({"max_discard_fraction": 1.5}, "max_discard_fraction"),
+        ({"spurious_deviation": 0}, "spurious_deviation"),
+        ({"repetitions": 0}, "repetitions"),
+        ({"repetitions": MAX_REPETITIONS + 1}, "repetitions"),
+        ({"repetitions": 10 ** 20}, "repetitions"),
+        ({"repetitions": 31.0}, "repetitions"),
+        ({"warmup_loop_iters": "50000"}, "warmup_loop_iters"),
+        ({"warmup_loop_iters": 0}, "warmup_loop_iters"),
+        ({"warmup_loop_iters": MAX_WARMUP_LOOP_ITERS + 1},
+         "warmup_loop_iters"),
+    ])
+    def test_refused(self, knobs, message):
+        with pytest.raises(ConfigError, match=message):
+            LatencyTableConfig(**knobs)
+
+    @pytest.mark.parametrize("knobs", [
+        PAPER_DEFAULTS,
+        {"repetitions": 1},
+        {"repetitions": MAX_REPETITIONS},
+        {"warmup_loop_iters": 1},
+        {"warmup_loop_iters": MAX_WARMUP_LOOP_ITERS},
+        {"stdev_threshold": 0.14},
+        {"stdev_threshold": 1, "max_stdev_threshold": 2},
+        {"stdev_floor": 0, "max_discard_fraction": 0},
+        {"stdev_floor": -0.0, "max_discard_fraction": 1},
+    ])
+    def test_accepted(self, knobs):
+        LatencyTableConfig(**knobs)
 
 
 class TestInstrumentation:

@@ -54,8 +54,7 @@ class ScriptedServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
-            with conn:
-                fh = conn.makefile("rb")
+            with conn, conn.makefile("rb") as fh:
                 while self.script:
                     line = fh.readline()
                     if not line:

@@ -431,6 +431,66 @@ class TestRobustness:
                 fleet.router_config.access_log, fleet.router.obs.registry,
                 "fleet")
 
+    #: One frame each, and what it is refused with.  Before they were
+    #: refused, frames 1, 2 and 10 hung in the daemon's retry loop,
+    #: frames 3, 4 and 9 answered ``internal``, and frame 13's answer
+    #: echoed ``"id":NaN``.
+    REFUSED = (
+        (b'{"verb":"infer","id":1,"params":{"machine":"testbox",'
+         b'"table":{"stdev_threshold":0,"stdev_floor":0}}}', "invalid_params"),
+        (b'{"verb":"infer","id":2,"params":{"machine":"testbox",'
+         b'"table":{"stdev_threshold":-0.07,"stdev_floor":0}}}',
+         "invalid_params"),
+        (b'{"verb":"place","id":3,"params":{"machine":"testbox","seed":-1}}',
+         "invalid_params"),
+        (b'{"verb":"infer","id":4,"params":{"machine":"testbox",'
+         b'"repetitions":99999999999999999999}}', "invalid_params"),
+        (b'{"verb":"show","id":5,"params":{"machine":"testbox",'
+         b'"table":{"max_stdev_threshold":0.01}}}', "invalid_params"),
+        (b'{"verb":"infer","id":6,"params":{"machine":"testbox",'
+         b'"table":{"stdev_floor":"3"}}}', "invalid_params"),
+        (b'{"verb":"infer","id":7,"params":{"machine":"testbox",'
+         b'"table":{"max_discard_fraction":2}}}', "invalid_params"),
+        (b'{"verb":"infer","id":8,"params":{"machine":"testbox",'
+         b'"table":{"spurious_deviation":0}}}', "invalid_params"),
+        (b'{"verb":"infer","id":9,"params":{"machine":"testbox",'
+         b'"table":{"warmup_loop_iters":"x"}}}', "invalid_params"),
+        (b'{"verb":"infer","id":10,"params":{"machine":"testbox",'
+         b'"table":{"stdev_threshold":NaN}}}', "bad_request"),
+        (b'{"verb":"infer","id":11,"params":{"machine":"testbox",'
+         b'"table":{"stdev_floor":1e999}}}', "bad_request"),
+        (b'{"verb":"place","id":12,"params":{"machine":"testbox",'
+         b'"seed":-Infinity}}', "bad_request"),
+        (b'{"verb":"ping","id":NaN}', "bad_request"),
+    )
+
+    @pytest.mark.parametrize("kind", ["daemon", "router"])
+    def test_frames_that_hung_or_failed_are_refused(
+            self, kind, daemon_factory, fleet_factory, tmp_path):
+        """Each gets one strict-JSON answer with its refusal code, and
+        the connection goes on."""
+        def strict(line: bytes) -> dict:
+            def refuse(name):
+                raise AssertionError(f"{name} in an answer")
+            return json.loads(line, parse_constant=refuse)
+
+        path = self.server(kind, daemon_factory, fleet_factory, tmp_path)[0]
+        frames = [line for line, _ in self.REFUSED]
+        frames.append(b'{"verb":"ping","id":"last"}')
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(path)
+            sock.sendall(b"\n".join(frames) + b"\n")
+            with sock.makefile("rb") as reader:
+                docs = [strict(reader.readline()) for _ in frames]
+        assert [doc.get("error", {}).get("code") for doc in docs[:-1]] \
+            == [code for _, code in self.REFUSED]
+        decoded = [doc["id"] for doc in docs[:-1]
+                   if doc["error"]["code"] == "invalid_params"]
+        assert decoded == list(range(1, 10))
+        assert all(doc["request_id"] for doc in docs)
+        assert docs[-1]["ok"] is True and docs[-1]["id"] == "last"
+
     @pytest.mark.parametrize("kind", ["daemon", "router"])
     def test_an_explicit_null_seed_is_invalid_params(
             self, kind, daemon_factory, fleet_factory, tmp_path):

@@ -87,7 +87,9 @@ class TestInferenceKey:
         by the daemon's or the router's memo: a few hundred such frames
         must not stay in memory."""
         long_machine = "m" * (2 << 20)
-        long_floor = {"repetitions": 9, "stdev_floor": "9" * (2 << 20)}
+        # JSON reads integers of up to 4300 digits; a string floor is
+        # refused by the config.
+        long_floor = {"repetitions": 9, "stdev_floor": int("9" * 4000)}
         memo = TopologyParamsMemo()
         for params in ({"machine": long_machine, "seed": 1,
                         "table": TABLE.to_dict()},

@@ -2,12 +2,13 @@
 
 A connection is an ``asyncio.Protocol``: frames are split in
 ``data_received`` and a frame whose route finishes without suspending is
-answered there; the first route that suspends moves the connection to a
-task.  These tests drive both modes over real sockets (and, where the
-read boundaries must be exact, through a fake transport), and check what
-the stream server did before: answers in request order, one answer per
-frame, the oversized-frame reject, a half-close, a client gone before its
-answer, and a client that stops reading.
+answered there; a route that suspends finishes in a task of its own,
+and the frames behind it are served once it is answered.  These tests
+drive both kinds of frame over real sockets (and, where the read
+boundaries must be exact, through a fake transport), and check what the
+stream server did before: answers in request order, one answer per
+frame, the oversized-frame reject, a half-close, a client gone before
+its answer, a client that stops reading, and the drain.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import MctopClient
+from repro.service import protocol as protocol_module
+from repro.service import server as server_module
 from repro.service.daemon import MctopDaemon, ServeConfig
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -138,6 +141,136 @@ def test_a_frame_split_at_every_byte_boundary(tmp_path):
             assert answers(stream[:cut], stream[cut:]) == whole, cut
         assert answers(*(stream[i:i + 1] for i in range(len(stream)))) \
             == whole
+
+    asyncio.run(main())
+
+
+async def until_no_frame_runs(conn: _Connection) -> None:
+    """Run the loop until no frame of ``conn`` is suspended."""
+    for _ in range(1000):
+        if conn.task is None:
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("a frame is still suspended")
+
+
+def test_every_byte_boundary_also_crosses_a_suspended_frame(tmp_path):
+    """The stream above with a ``_sleep`` after the ping, cut in two at
+    every offset, with the second part sent while the ``_sleep`` runs
+    once the cut is past it: each cut goes inline, to the frame's task
+    and back inline, and the answers equal those to the whole stream."""
+    async def main():
+        daemon = MctopDaemon(ServeConfig(
+            unix_path=str(tmp_path / "unused.sock"), default_repetitions=31,
+            debug_verbs=True,
+        ))
+        from repro.service.handlers import Session
+
+        await daemon.handlers.infer(dict(PLACE), Session())
+        stream = (frame("ping", id=1)
+                  + frame("_sleep", id="slept", seconds=0)
+                  + frame("place", id=2, policy="RR_CORE", threads=3,
+                          **PLACE)
+                  + b'{"verb": "ping", "id": \n')
+
+        async def answers(*chunks) -> bytes:
+            conn = _Connection(daemon)
+            transport = FakeTransport()
+            conn.connection_made(transport)
+            suspended = False
+            for chunk in chunks:
+                conn.data_received(chunk)
+                suspended |= conn.task is not None
+                await asyncio.sleep(0)
+            await until_no_frame_runs(conn)
+            assert suspended, "the _sleep did not suspend"
+            return masked(transport.written)
+
+        whole = await answers(stream)
+        assert whole.count(b"\n") == 4
+        assert b'"id":"slept","ok":true' in whole.splitlines()[1]
+        for cut in range(1, len(stream)):
+            assert await answers(stream[:cut], stream[cut:]) == whole, cut
+        assert await answers(*(stream[i:i + 1]
+                               for i in range(len(stream)))) == whole
+
+    asyncio.run(main())
+
+
+class ReadingTransport(FakeTransport):
+    """A fake transport that keeps whether it is reading."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def test_bytes_behind_a_suspended_frame_pause_reading(tmp_path, monkeypatch):
+    """While a frame's route is suspended, the frames behind it wait;
+    reading pauses once more than twice the frame limit of them is
+    buffered, and resumes once they are served."""
+    limit = 1024
+    monkeypatch.setattr(protocol_module, "MAX_LINE_BYTES", limit)
+    monkeypatch.setattr(server_module, "MAX_LINE_BYTES", limit)
+
+    async def main():
+        daemon = MctopDaemon(ServeConfig(
+            unix_path=str(tmp_path / "unused.sock"), debug_verbs=True,
+        ))
+        release = asyncio.Event()
+
+        async def held(params, session):
+            await release.wait()
+            return {}
+
+        daemon.handlers._sleep = held
+        conn = _Connection(daemon)
+        transport = ReadingTransport()
+        conn.connection_made(transport)
+        conn.data_received(frame("_sleep", id=0))
+        assert conn.task is not None
+        ping = frame("ping", id=1)
+        behind = 0
+        while behind + len(ping) <= 2 * limit:
+            conn.data_received(ping)
+            behind += len(ping)
+            assert transport.reading
+        conn.data_received(ping)
+        assert not transport.reading
+        await asyncio.sleep(0)
+        assert transport.written == b""
+        release.set()
+        await until_no_frame_runs(conn)
+        assert transport.reading
+        docs = [decode_response(line)
+                for line in transport.written.splitlines()]
+        assert [d["id"] for d in docs] == [0] + [1] * (behind // len(ping)
+                                                       + 1)
+        assert all(d["ok"] for d in docs)
+
+    asyncio.run(main())
+
+
+def test_a_connection_made_after_the_drain_is_closed_at_once(tmp_path):
+    """A connection the listener accepted before it closed can be made
+    after the drain has shut the others; it is closed at once, so no
+    transport outlives the server."""
+    async def main():
+        daemon = MctopDaemon(ServeConfig(unix_path=str(tmp_path / "d.sock"),
+                                         drain_timeout=1.0))
+        await daemon.start()
+        daemon.request_shutdown()
+        await daemon.wait_closed()
+        conn = _Connection(daemon)
+        transport = FakeTransport()
+        conn.connection_made(transport)
+        assert transport.closing
 
     asyncio.run(main())
 
@@ -282,6 +415,48 @@ def test_a_client_that_stops_reading_stops_being_read(harness):
     assert not sender.is_alive()
     assert [d["id"] for d in docs] == list(range(count))
     assert all(d["ok"] for d in docs)
+
+
+def test_a_drain_ends_while_a_client_holds_an_idle_connection(harness):
+    """The drain shuts the connections before it waits on the
+    listeners, which since Python 3.12.1 wait for every accepted
+    connection to close: an idle client reads EOF, and the daemon
+    exits."""
+    with connect(harness) as sock:
+        sock.sendall(frame("ping", id=1))
+        assert decode_response(read_lines(sock, 1)[0])["ok"] is True
+        harness.stop()
+        assert read_until_eof(sock) == []
+
+
+def test_a_drain_ends_while_a_client_stops_reading(daemon_factory):
+    """A client that sends without reading its answers keeps its
+    connection open with answers unsent; the drain drops them once
+    ``drain_timeout`` has passed, and the daemon exits."""
+    harness = daemon_factory(drain_timeout=1.0)
+    with harness.client() as client:
+        client.request("place", policy="RR_CORE", threads=1, **PLACE)
+    frames = b"".join(
+        frame("place", id=n, policy="RR_CORE", threads=1 + n % 8, **PLACE)
+        for n in range(3000)
+    )
+
+    def flood(sock) -> None:
+        try:
+            sock.sendall(frames)
+        except OSError:
+            pass  # the drain drops the connection mid-write
+
+    with connect(harness) as sock:
+        sender = threading.Thread(target=flood, args=(sock,))
+        sender.start()
+        time.sleep(0.5)
+        started = time.monotonic()
+        harness.stop()
+        assert time.monotonic() - started < 5.0
+        read_until_eof(sock)
+        sender.join(30)
+    assert not sender.is_alive()
 
 
 def test_a_failed_connect_leaves_no_socket_open(tmp_path):
